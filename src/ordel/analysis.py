@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Word
-from .vt_code import DEFAULT_ENUM_CAP, _chunks
+from .vt_code import _check_cap, _chunks
 
 MIN_BOUND_ARGUMENT = 1.0
 
@@ -89,11 +89,7 @@ def run_stats(n: int, cap: int | None = None) -> RunStats:
     """Exact run-count tallies over all 2^n words (exhaustive, capped)."""
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    limit = DEFAULT_ENUM_CAP if cap is None else cap
-    if n > limit:
-        raise ValueError(
-            f"exhaustive run statistics over 2^{n} words exceed the cap n <= {limit}"
-        )
+    _check_cap(n, cap)
     threshold = run_threshold(n)
     mask = np.uint64((1 << (n - 1)) - 1)
     total_runs = 0

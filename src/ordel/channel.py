@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import ReceivedWord, Word
 
 
@@ -41,6 +43,20 @@ def corrupt(word: Word, pattern: CorruptionPattern) -> ReceivedWord:
     if e == n:
         return ReceivedWord(shortened, None)
     return ReceivedWord(shortened[: e - 1] + (None,) + shortened[e:], e)
+
+
+def corrupt_batch(words: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``corrupt`` for B words at once: a (B, n) 0/1 uint8 array, B values of d and of e.
+
+    Returns the (B, n-1) uint8 received words, each erased symbol stored as 0
+    (the form ``decoder.decode_batch`` takes).
+    """
+    n = words.shape[1]
+    received = words[:, 1:].copy()
+    np.copyto(received, words[:, :-1], where=np.arange(n - 1) < (d - 1)[:, None])
+    hole = np.flatnonzero(e < n)
+    received[hole, e[hole] - 1] = 0
+    return received
 
 
 def all_patterns(n: int) -> list[CorruptionPattern]:

@@ -21,6 +21,15 @@ USAGE_ERROR = 1
 DECODE_ERROR = 2
 
 
+def _echo(text: str, err: bool = False) -> None:
+    """Print a line to the current stdout (or stderr).
+
+    The stream goes to click explicitly: a stream click looks up itself is
+    cached for good, so each ``run`` under a fresh redirect would leak it.
+    """
+    click.echo(text, file=sys.stderr if err else sys.stdout)
+
+
 class _DecodeFailed(Exception):
     def __init__(self, reason: str):
         super().__init__(reason)
@@ -48,7 +57,7 @@ def codebook_cmd(n: int, a1: int | None, a2: int | None, best: bool, cap: int | 
         if a1 is None or a2 is None:
             raise click.UsageError("give both --a1 and --a2, or --best")
         params = CodeParams(n, a1, a2)
-    click.echo(vt_code.render_codebook(vt_code.enumerate_codebook(params, cap)))
+    _echo(vt_code.render_codebook(vt_code.enumerate_codebook(params, cap)))
 
 
 @cli.command("corrupt")
@@ -59,7 +68,7 @@ def corrupt_cmd(word_text: str, d: int, e: int) -> None:
     """Apply a deletion-erasure pattern ('?' marks the erasure)."""
     word = parse_word(word_text)
     received = corrupt(word, CorruptionPattern(d, e))
-    click.echo(received.render())
+    _echo(received.render())
 
 
 @cli.command("decode")
@@ -85,7 +94,7 @@ def decode_cmd(
     outcome = decode(received, CodeParams(n, a1, a2))
     if isinstance(outcome, DecodeFailure):
         raise _DecodeFailed(outcome.reason)
-    click.echo(outcome.word.render())
+    _echo(outcome.word.render())
 
 
 @cli.command("verify")
@@ -106,7 +115,7 @@ def verify_cmd(n: int, all_params: bool, cap: int | None) -> None:
             oracle.verify_decoder(codebook),
             oracle.deletion_balls_disjoint(codebook),
         ):
-            click.echo(
+            _echo(
                 f"n={params.n} a1={params.a1} a2={params.a2} {report.check}: {report.render()}"
             )
             failed = failed or not report.passed
@@ -141,7 +150,7 @@ def bounds_cmd(n_list: str | None, n_grid: str | None) -> None:
             v *= factor
     if any(v < 3 for v in values):
         raise click.UsageError("all lengths must be >= 3")
-    click.echo(analysis.bounds_csv(analysis.bounds_table(values)))
+    _echo(analysis.bounds_csv(analysis.bounds_table(values)))
 
 
 @cli.command("simulate")
@@ -155,7 +164,7 @@ def simulate_cmd(n: int, trials: int, seed: int, a1: int | None, a2: int | None)
     if (a1 is None) != (a2 is None):
         raise click.UsageError("give both --a1 and --a2, or neither")
     report = montecarlo.run_trials(n, trials, seed, a1, a2)
-    click.echo(report.render())
+    _echo(report.render())
     if not report.passed:
         raise _DecodeFailed(f"{report.failures} round-trip failures")
 
@@ -167,7 +176,7 @@ def runs_cmd(n: int, cap: int | None) -> None:
     """Exhaustive run-count statistics over all 2^n words."""
     stats = analysis.run_stats(n, cap)
     lemma_bound = 1.0 - 4.0 / (n * n)
-    click.echo(
+    _echo(
         f"n={stats.n} words={stats.words} mean_runs={stats.mean_runs:.6f} "
         f"threshold={stats.threshold:.6f} high_run_count={stats.high_run_count} "
         f"high_run_fraction={stats.high_run_fraction:.6f} "
@@ -181,16 +190,13 @@ def run(argv: list[str]) -> int:
     try:
         cli.main(args=list(argv), prog_name="ordel", standalone_mode=False)
     except _DecodeFailed as exc:
-        click.echo(f"error: {exc.reason}", err=True)
+        _echo(f"error: {exc.reason}", err=True)
         return DECODE_ERROR
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return USAGE_ERROR
     except click.ClickException as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
+        _echo(f"error: {exc.format_message()}", err=True)
         return USAGE_ERROR
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         return USAGE_ERROR
     except click.exceptions.Abort:
         return USAGE_ERROR

@@ -23,12 +23,18 @@ Consecutive checksums differ only by the guessed bit and one received
 symbol, so each pass costs O(n) integer ops (``checksum_step``).  Checksums
 peak near n^2 and are reduced only at comparison time; exact machine
 integers therefore suffice up to n around 3 * 10^9.
+
+``decode_batch`` runs the same two steps on a batch of received words held
+as a numpy array, with the scan as one prefix sum per row; the scalar
+``decode`` stays the reference it is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
+
+import numpy as np
 
 from .core import CodeParams, ReceivedWord, Word, mod_reduce
 
@@ -64,6 +70,14 @@ class DecodeFailure:
 
 DecodeOutcome = Recovered | DecodeFailure
 
+# word bits per batch for callers of decode_batch: BATCH_BITS // n rows at a
+# time bounds a batch's largest temporary (the int32 prefix sums) to 128 KB
+# whatever n is, and keeps the numpy calls per row few
+BATCH_BITS = 1 << 15
+
+#: ``decode_batch`` statuses below 1 and the scalar failure reasons they stand for
+FAILURE_STATUS = {0: NO_SYNC, -1: INVALID_DISCREPANCY}
+
 
 def discrepancy(y: ReceivedWord, params: CodeParams) -> int:
     """(a1 - sum of non-erased symbols) mod 3; reveals the missing bits' sum."""
@@ -88,11 +102,17 @@ def hypothesis_checksum(y: ReceivedWord, k: int, hyp: BitHypothesis, params: Cod
     e = y.effective_erasure
     if not 1 <= k <= e:
         raise ValueError(f"insertion index {k} outside 1..{e}")
+    return _checksum(y, k, hyp.deleted, hyp.erased)
+
+
+def _checksum(y: ReceivedWord, k: int, deleted: int, erased: int) -> int:
+    """``hypothesis_checksum`` for a valid k and plain hypothesis bits."""
+    e = y.effective_erasure
     n = y.n
     sym = y.symbols
     # symbols before the insertion point keep weight i, later ones weigh i+1;
     # slicing around the erased slot keeps None out of the products
-    total = k * hyp.deleted + (e + 1) * hyp.erased
+    total = k * deleted + (e + 1) * erased
     total += sum(map(mul, range(1, k), sym[: k - 1]))
     if e == n:
         total += sum(map(mul, range(k + 1, n + 1), sym[k - 1 :]))
@@ -113,13 +133,12 @@ def checksum_step(fk: int, k: int, y_k: int | None, hyp: BitHypothesis) -> int:
     return fk + hyp.deleted - y_k
 
 
-def _scan_sync(y: ReceivedWord, hyp: BitHypothesis, params: CodeParams, e: int) -> int | None:
+def _scan_sync(y: ReceivedWord, deleted: int, erased: int, params: CodeParams, e: int) -> int | None:
     """Smallest k in 1..e whose checksum matches a2 mod n+1, or None."""
     modulus = params.n + 1
     target = mod_reduce(params.a2, modulus)
     symbols = y.symbols
-    deleted = hyp.deleted
-    fk = hypothesis_checksum(y, 1, hyp, params)
+    fk = _checksum(y, 1, deleted, erased)
     k = 1
     while True:
         if fk % modulus == target:
@@ -131,13 +150,13 @@ def _scan_sync(y: ReceivedWord, hyp: BitHypothesis, params: CodeParams, e: int) 
         k += 1
 
 
-def _rebuild(y: ReceivedWord, k: int, hyp: BitHypothesis) -> Word:
+def _rebuild(y: ReceivedWord, k: int, deleted: int, erased: int) -> Word:
     """Insert the deleted-bit guess before y_k and fill the erasure."""
     s = y.symbols
     e = y.erasure_pos
     if e is None:
-        return Word(s[: k - 1] + (hyp.deleted,) + s[k - 1 :])
-    return Word(s[: k - 1] + (hyp.deleted,) + s[k - 1 : e - 1] + (hyp.erased,) + s[e:])
+        return Word(s[: k - 1] + (deleted,) + s[k - 1 :])
+    return Word(s[: k - 1] + (deleted,) + s[k - 1 : e - 1] + (erased,) + s[e:])
 
 
 def decode(y: ReceivedWord, params: CodeParams) -> DecodeOutcome:
@@ -154,18 +173,109 @@ def decode(y: ReceivedWord, params: CodeParams) -> DecodeOutcome:
         raise ValueError(f"received word implies n={y.n}, code has n={params.n}")
     e = y.effective_erasure
     disc = discrepancy(y, params)
+    # (deleted, erased) bit guesses, in the order the passes try them
     if y.erasure_pos is None:
         if disc == 2:
             return DecodeFailure(INVALID_DISCREPANCY)
-        attempts = (BitHypothesis(disc, 0),)
+        attempts = ((disc, 0),)
     elif disc == 0:
-        attempts = (BitHypothesis(0, 0),)
+        attempts = ((0, 0),)
     elif disc == 2:
-        attempts = (BitHypothesis(1, 1),)
+        attempts = ((1, 1),)
     else:
-        attempts = (BitHypothesis(1, 0), BitHypothesis(0, 1))
-    for pass_no, hyp in enumerate(attempts, start=1):
-        k = _scan_sync(y, hyp, params, e)
+        attempts = ((1, 0), (0, 1))
+    for pass_no, (deleted, erased) in enumerate(attempts, start=1):
+        k = _scan_sync(y, deleted, erased, params, e)
         if k is not None:
-            return Recovered(_rebuild(y, k, hyp), k, pass_no)
+            return Recovered(_rebuild(y, k, deleted, erased), k, pass_no)
     return DecodeFailure(NO_SYNC)
+
+
+def row_sums(bits: np.ndarray, first_weight: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact int64 bit sums and weighted sums of the rows of a 0/1 matrix.
+
+    Column j (from 0) weighs ``first_weight + j``.  The sums accumulate in
+    int64, exact while the largest possible weighted sum stays below 2^63;
+    past that a ValueError names the limit.
+    """
+    cols = bits.shape[1]
+    top = cols * first_weight + cols * (cols - 1) // 2
+    if top >= 2**63:
+        raise ValueError(f"weighted sums up to {top} exceed 2^63 - 1, the int64 limit")
+    weights = np.arange(first_weight, first_weight + cols, dtype=np.int64)
+    return bits.sum(axis=1, dtype=np.int64), np.einsum("ij,j->i", bits, weights)
+
+
+def _first_sync(y, e, a2, deleted, erased, weighted) -> np.ndarray:
+    """Per row, the smallest k in 1..e whose checksum matches a2 mod n+1, else 0."""
+    rows, m = y.shape
+    modulus = m + 2
+    # checksum at k is f1 + G_{k-1}, with f1 the k=1 checksum and
+    # G_j = sum_{i<=j} (deleted - y_i); |G_j| <= n - 1, so G_{k-1} matches
+    # exactly when it equals the residue t or t - (n + 1)
+    target = ((a2 - deleted - (e + 1) * erased - weighted) % modulus).astype(np.int32)
+    steps = np.subtract(deleted[:, None], y, dtype=np.int32)
+    np.cumsum(steps, axis=1, out=steps)
+    hit = steps == target[:, None]
+    hit |= steps == (target - modulus)[:, None]
+    j = hit.argmax(axis=1) + 1
+    found = hit[np.arange(rows), j - 1] & (j < e)
+    # G_0 = 0 matches only t = 0, at k = 1
+    return np.where(target == 0, 1, np.where(found, j + 1, 0))
+
+
+def decode_batch(y: np.ndarray, e, a1, a2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``decode`` for B received words at once, row for row the same result.
+
+    ``y`` is a (B, n-1) uint8 array of 0/1 symbols with each erased symbol
+    stored as 0; ``e``, ``a1`` and ``a2`` give each row's erasure position
+    (e = n for none) and class, as arrays of B or scalars.  Returns
+    ``(words, k, status)``: the (B, n) uint8 decoded words, the insertion
+    indices, and per row the sync pass (1 or 2), or a status below 1 that
+    ``FAILURE_STATUS`` maps to the scalar failure reason.  Words and k of a
+    failed row are unspecified.
+
+    The steps: the discrepancy per row; the k=1 checksum f1 from one
+    weighted sum (``row_sums`` with weights 2..n); the int32 prefix sums G of
+    deleted - y and the first k <= e where f1 + G_{k-1} matches a2; a second
+    pass, guessing (deleted, erased) = (0, 1), only for erasure rows with
+    discrepancy 1 that found no k; then one masked copy that rebuilds every
+    word.
+
+    Fixed-width limits: symbols and words are one bit per uint8 byte, with no
+    packing; the int64 sums of ``row_sums`` are exact far past any n that
+    fits in memory; the prefix sums and sync targets are int32 and lie within
+    +-(n + 1), so n + 1 >= 2^31 raises a ValueError.
+    """
+    rows, m = y.shape
+    n = m + 1
+    if n + 1 >= 2**31:
+        raise ValueError(f"n = {n} needs prefix sums past 2^31 - 1, the int32 limit")
+    e = np.broadcast_to(np.asarray(e, np.int64), (rows,))
+    a1 = np.broadcast_to(np.asarray(a1, np.int64), (rows,))
+    a2 = np.broadcast_to(np.asarray(a2, np.int64), (rows,))
+    bit_sum, weighted = row_sums(y, 2)
+    disc = (a1 - bit_sum) % 3
+    erasure = e < n
+    deleted = (disc > 0).astype(np.int8)
+    erased = (erasure & (disc == 2)).astype(np.int8)
+    k = _first_sync(y, e, a2, deleted, erased, weighted)
+    status = (k > 0).astype(np.int8)
+    status[~erasure & (disc == 2)] = -1
+    retry = np.flatnonzero(erasure & (disc == 1) & (k == 0))
+    if retry.size:
+        deleted[retry] = 0
+        erased[retry] = 1
+        k2 = _first_sync(y[retry], e[retry], a2[retry], deleted[retry], erased[retry],
+                         weighted[retry])
+        k[retry] = k2
+        status[retry] = np.where(k2 > 0, 2, 0)
+    # z_i = y_i before k, the deleted guess at k, y_{i-1} after it, and the
+    # erased guess in the slot after e, where the stored 0 of y_e lands
+    words = np.zeros((rows, n), np.uint8)
+    words[:, 1:] = y
+    np.copyto(words[:, :-1], y, where=np.arange(m) < (k - 1)[:, None])
+    words[np.arange(rows), k - 1] = deleted
+    hole = np.flatnonzero(erasure)
+    words[hole, e[hole]] = erased[hole]
+    return words, k, status

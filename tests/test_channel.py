@@ -3,11 +3,19 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ordel.channel import CorruptionPattern, all_patterns, corrupt, draw_pattern, random_pattern
+from ordel.channel import (
+    CorruptionPattern,
+    all_patterns,
+    corrupt,
+    corrupt_batch,
+    draw_pattern,
+    random_pattern,
+)
 from ordel.core import Word, parse_word
 
 words = st.lists(st.integers(0, 1), min_size=3, max_size=24).map(lambda b: Word(tuple(b)))
@@ -69,6 +77,19 @@ class TestCorrupt:
         e = data.draw(st.integers(hi, w.n))
         outputs = {corrupt(w, CorruptionPattern(dd, e)).render() for dd in range(lo, hi + 1)}
         assert len(outputs) == 1
+
+
+    @given(words)
+    def test_batch_matches_corrupt_on_every_pattern(self, w):
+        patterns = all_patterns(w.n)
+        batch = corrupt_batch(
+            np.array([w.bits] * len(patterns), np.uint8),
+            np.array([p.d for p in patterns]),
+            np.array([p.e for p in patterns]),
+        )
+        # the batch stores the erased symbol as 0
+        expected = [[s or 0 for s in corrupt(w, p).symbols] for p in patterns]
+        assert batch.tolist() == expected
 
 
 class TestAllPatterns:

@@ -1,5 +1,10 @@
 """Command-line surface: flag grammar, formats, exit codes, determinism."""
 
+import gc
+import io
+import weakref
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
 
 from ordel.cli import run
@@ -211,3 +216,17 @@ class TestRuns:
 
 def test_missing_subcommand_is_usage_error(capsys):
     assert invoke(capsys, "frobnicate")[0] == 1
+
+
+def test_run_keeps_no_reference_to_its_streams():
+    # in-process callers capture each run in fresh streams; keeping them
+    # would leak every capture for the life of the process
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert run(["corrupt", "--word", "10110", "--d", "2", "--e", "3"]) == 0
+        assert run(["corrupt", "--word", "101", "--d", "2", "--e", "4"]) == 1
+    assert (out.getvalue(), err.getvalue().startswith("error: ")) == ("11?0\n", True)
+    refs = (weakref.ref(out), weakref.ref(err))
+    del out, err
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]

@@ -3,13 +3,15 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordel.channel import CorruptionPattern, all_patterns, corrupt
-from ordel.core import CodeParams, ReceivedWord, parse_received, parse_word
+from ordel.core import CodeParams, ReceivedWord, Word, parse_received, parse_word
 from ordel.decoder import (
+    FAILURE_STATUS,
     INVALID_DISCREPANCY,
     NO_SYNC,
     BitHypothesis,
@@ -17,8 +19,10 @@ from ordel.decoder import (
     Recovered,
     checksum_step,
     decode,
+    decode_batch,
     discrepancy,
     hypothesis_checksum,
+    row_sums,
 )
 from ordel.vt_code import best_params, enumerate_codebook, is_member
 
@@ -42,6 +46,28 @@ def random_received(rng: random.Random) -> ReceivedWord:
     e = rng.randint(1, n - 1)
     symbols[e - 1] = None
     return ReceivedWord(tuple(symbols), e)
+
+
+def assert_batch_matches_decode(n: int, rows: list[tuple[ReceivedWord, int, int]]) -> None:
+    """decode_batch on (received word, a1, a2) rows agrees with decode on every field."""
+    y = np.array([[s or 0 for s in r.symbols] for r, _, _ in rows], np.uint8).reshape(-1, n - 1)
+    e = [r.effective_erasure for r, _, _ in rows]
+    a1 = [a1 for _, a1, _ in rows]
+    a2 = [a2 for _, _, a2 in rows]
+    words, k, status = decode_batch(y, e, a1, a2)
+    assert words.shape == (len(rows), n) and k.shape == status.shape == (len(rows),)
+    for i, (received, row_a1, row_a2) in enumerate(rows):
+        out = decode(received, CodeParams(n, row_a1, row_a2))
+        if isinstance(out, Recovered):
+            got = (tuple(words[i].tolist()), int(k[i]), int(status[i]))
+            assert got == (out.word.bits, out.insertion_index, out.sync_pass), (received, out)
+        else:
+            assert status[i] < 1 and FAILURE_STATUS[int(status[i])] == out.reason, (received, out)
+
+
+def class_of(bits: tuple[int, ...]) -> tuple[int, int]:
+    n = len(bits)
+    return sum(bits) % 3, sum(i * b for i, b in enumerate(bits, start=1)) % (n + 1)
 
 
 class TestDiscrepancy:
@@ -253,3 +279,77 @@ class TestExhaustiveRoundTrip:
             x = parse_word("".join(map(str, bits)))
             out = decode(corrupt(x, CorruptionPattern(d, e)), params)
             assert isinstance(out, Recovered) and out.word == x
+
+
+class TestDecodeBatch:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_codeword_round_trips_match_decode(self, data):
+        n = data.draw(st.integers(3, 40))
+        rows = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+            d = data.draw(st.integers(1, n))
+            e = data.draw(st.integers(d, n))
+            rows.append((corrupt(Word(bits), CorruptionPattern(d, e)), *class_of(bits)))
+        assert_batch_matches_decode(n, rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_arbitrary_received_words_match_decode(self, data):
+        # mostly not corrupted codewords: both failure reasons and stray
+        # recoveries show up here
+        n = data.draw(st.integers(3, 40))
+        rows = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            symbols = data.draw(st.lists(st.integers(0, 1), min_size=n - 1, max_size=n - 1))
+            e = data.draw(st.one_of(st.none(), st.integers(1, n - 1)))
+            if e is not None:
+                symbols[e - 1] = None
+            a1, a2 = data.draw(st.integers(0, 2)), data.draw(st.integers(0, n))
+            rows.append((ReceivedWord(tuple(symbols), e), a1, a2))
+        assert_batch_matches_decode(n, rows)
+
+    def test_failures_and_recoveries_in_one_batch(self):
+        rows = [
+            (parse_received("100", 4), 0, 0),  # invalid discrepancy
+            (parse_received("011", 4), 0, 0),  # no synchronization
+            (parse_received("?01", 4), 0, 0),  # no synchronization, erasure
+            (parse_received("1?1", 4), 2, 0),  # recovered: 1001
+        ]
+        assert_batch_matches_decode(4, rows)
+        _, _, status = decode_batch(np.array([[1, 0, 0], [0, 1, 1]], np.uint8), 4, 0, 0)
+        assert [FAILURE_STATUS[int(s)] for s in status] == [INVALID_DISCREPANCY, NO_SYNC]
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_every_pattern_of_the_best_class(self, n):
+        params = best_params(n)
+        rows = [
+            (corrupt(x, pattern), params.a1, params.a2)
+            for x in enumerate_codebook(params).words
+            for pattern in all_patterns(n)
+        ]
+        assert_batch_matches_decode(n, rows)
+
+    def test_empty_batch(self):
+        # the class (n=3, a1=0, a2=1) has no words, so its batch has no rows
+        assert enumerate_codebook(CodeParams(3, 0, 1)).words == ()
+        assert_batch_matches_decode(3, [])
+
+
+class TestBatchLimits:
+    def test_int64_sum_limit(self):
+        # an all-ones row weighed 2^62 - 1 and 2^62 sums to 2^63 - 1, the
+        # largest int64; one more and row_sums refuses
+        assert int(row_sums(np.ones((1, 2), np.uint8), 2**62 - 1)[1][0]) == 2**63 - 1
+        with pytest.raises(ValueError, match=r"2\^63"):
+            row_sums(np.ones((1, 2), np.uint8), 2**62)
+
+    def test_kernel_refuses_n_past_the_int32_prefix_limit(self):
+        # n = 2^31 - 2 is the largest n whose sync targets, down to -(n + 1),
+        # fit int32; one more is refused before any work, so a zero-stride
+        # view of the word is enough
+        n = 2**31 - 1
+        y = np.broadcast_to(np.uint8(1), (1, n - 1))
+        with pytest.raises(ValueError, match=r"2\^31"):
+            decode_batch(y, n, 0, 0)

@@ -1,7 +1,10 @@
 """Seeded round-trip trials."""
 
+import re
+
 import pytest
 
+from ordel import montecarlo
 from ordel.montecarlo import run_trials
 
 
@@ -41,3 +44,32 @@ def test_rejects_bad_arguments():
         run_trials(2, 10, seed=1)
     with pytest.raises(ValueError):
         run_trials(10, 0, seed=1)
+
+
+def test_rejected_trial_counted_and_described(monkeypatch):
+    # the kernel rejects trial 3; the scalar decode, run again on that trial
+    # for the report, recovers the word
+    real = montecarlo.decode_batch
+
+    def reject_trial_3(y, e, a1, a2):
+        words, k, status = real(y, e, a1, a2)
+        status = status.copy()
+        status[3] = 0
+        return words, k, status
+
+    monkeypatch.setattr(montecarlo, "decode_batch", reject_trial_3)
+    report = run_trials(20, 10, seed=4)
+    assert report.failures == 1 and not report.passed
+    line = re.fullmatch(
+        r"x=([01]{20}) d=(\d+) e=(\d+) a1=([012]) a2=(\d+) got=([01]{20})", report.first_failure
+    )
+    assert line is not None, report.first_failure
+    x, d, e, a1, a2, got = line.groups()
+    bits = [int(c) for c in x]
+    assert got == x
+    assert 1 <= int(d) <= int(e) <= 20
+    assert int(a1) == sum(bits) % 3
+    assert int(a2) == sum(i * b for i, b in enumerate(bits, start=1)) % 21
+    assert report.render() == (
+        f"n=20 trials=10 seed=4 mode=per-word-class failures=1\nfirst_failure: {report.first_failure}"
+    )

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from ordel import oracle
 from ordel.channel import CorruptionPattern, all_patterns, corrupt
 from ordel.core import CodeParams, Word, parse_received, parse_word
 from ordel.decoder import Recovered, decode
@@ -82,7 +83,32 @@ class TestVerifyDecoder:
         words = (parse_word("0001"), parse_word("1000"))
         report = verify_decoder(Codebook(CodeParams(4, 0, 0), words))
         assert not report.passed
-        assert report.render().startswith("FAIL")
+        assert report.checked == 1
+        assert report.render() == "FAIL x1=0001 x2=no-synchronization d=1 e=1"
+
+    def test_checked_counts_rows_across_batches(self, monkeypatch):
+        # the kernel rejects the first row of its third batch; the report
+        # counts every row before it and shows the scalar decode's word
+        real, calls = oracle.decode_batch, []
+
+        def reject_third_batch(y, e, a1, a2):
+            words, k, status = real(y, e, a1, a2)
+            calls.append(len(y))
+            if len(calls) == 3:
+                status = status.copy()
+                status[0] = 0
+            return words, k, status
+
+        monkeypatch.setattr(oracle, "decode_batch", reject_third_batch)
+        codebook = enumerate_codebook(best_params(13))
+        report = verify_decoder(codebook)
+        row = calls[0] + calls[1]
+        patterns = all_patterns(13)
+        x, pattern = codebook.words[row // len(patterns)], patterns[row % len(patterns)]
+        assert report.checked == row + 1
+        assert report.render() == (
+            f"FAIL x1={x.render()} x2={x.render()} d={pattern.d} e={pattern.e}"
+        )
 
 
 class TestDeletionBalls:
