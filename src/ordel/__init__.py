@@ -12,7 +12,6 @@ from .analysis import (
     RunStats,
     bounds_csv,
     bounds_table,
-    high_run_fraction,
     redundancy_lower_bound,
     redundancy_upper_bound,
     run_count,
@@ -24,7 +23,6 @@ from .core import (
     CodeParams,
     ReceivedWord,
     Word,
-    mod_reduce,
     parse_received,
     parse_word,
 )
@@ -86,10 +84,8 @@ __all__ = [
     "deletion_balls_disjoint",
     "discrepancy",
     "enumerate_codebook",
-    "high_run_fraction",
     "hypothesis_checksum",
     "is_member",
-    "mod_reduce",
     "parse_received",
     "parse_word",
     "random_pattern",

@@ -7,9 +7,9 @@ a lone deletion, and single-deletion balls of typical words are large (a
 word's deletion ball has exactly one element per run).  All logarithms are
 base two, including the one inside the square root.
 
-Exhaustive run tallies share the integer word encoding of the enumeration
-module (x_1 = most significant bit); adjacent-bit disagreements of word v are
-the low n - 1 bits of v ^ (v >> 1).
+Run tallies over all 2^n words are exact binomial counts: a word with r runs
+is fixed by its first bit and the r - 1 of the n - 1 adjacent pairs that
+differ, so exactly 2 * C(n-1, r-1) words have r runs.
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import Word
-from .vt_code import _check_cap, _chunks
+from .vt_code import _check_cap
 
 MIN_BOUND_ARGUMENT = 1.0
 
@@ -37,7 +35,7 @@ class BoundsRow:
 
 @dataclass(frozen=True)
 class RunStats:
-    """Exhaustive run-count statistics over all 2^n words."""
+    """Exact run-count statistics over all 2^n words."""
 
     n: int
     words: int
@@ -86,23 +84,16 @@ def run_threshold(n: int) -> float:
 
 
 def run_stats(n: int, cap: int | None = None) -> RunStats:
-    """Exact run-count tallies over all 2^n words (exhaustive, capped)."""
+    """Exact run-count tallies over all 2^n words (capped like the exhaustive scans)."""
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     _check_cap(n, cap)
     threshold = run_threshold(n)
-    mask = np.uint64((1 << (n - 1)) - 1)
-    total_runs = 0
-    high = 0
-    for start, stop in _chunks(n):
-        values = np.arange(start, stop, dtype=np.uint64)
-        flips = (values ^ (values >> np.uint64(1))) & mask
-        runs = np.ones(values.shape, dtype=np.int64)
-        for j in range(n - 1):
-            runs += ((flips >> np.uint64(j)) & np.uint64(1)).astype(np.int64)
-        total_runs += int(runs.sum())
-        high += int(np.count_nonzero(runs >= threshold))
     words = 1 << n
+    # one run per word, plus one per differing adjacent pair; each of the
+    # n - 1 pairs differs in half the words
+    total_runs = (n + 1) << (n - 1)
+    high = sum(2 * math.comb(n - 1, r - 1) for r in range(1, n + 1) if r >= threshold)
     return RunStats(
         n=n,
         words=words,
@@ -112,11 +103,6 @@ def run_stats(n: int, cap: int | None = None) -> RunStats:
         high_run_count=high,
         high_run_fraction=high / words,
     )
-
-
-def high_run_fraction(n: int, cap: int | None = None) -> float:
-    """Fraction of words whose run count meets the typicality threshold."""
-    return run_stats(n, cap).high_run_fraction
 
 
 def bounds_table(n_values: list[int]) -> list[BoundsRow]:

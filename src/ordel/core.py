@@ -18,13 +18,6 @@ MIN_LENGTH = 3
 ERASURE_CHAR = "?"
 
 
-def mod_reduce(value: int, modulus: int) -> int:
-    """Canonical residue of ``value`` in [0, modulus), also for negatives."""
-    if modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
-    return value % modulus
-
-
 @dataclass(frozen=True)
 class Word:
     """A binary word x_1 ... x_n with n >= 3."""

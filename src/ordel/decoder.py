@@ -36,7 +36,7 @@ from operator import mul
 
 import numpy as np
 
-from .core import CodeParams, ReceivedWord, Word, mod_reduce
+from .core import CodeParams, ReceivedWord, Word
 
 NO_SYNC = "no synchronization"
 INVALID_DISCREPANCY = "invalid discrepancy"
@@ -86,7 +86,7 @@ def discrepancy(y: ReceivedWord, params: CodeParams) -> int:
         total = sum(y.symbols)
     else:
         total = sum(y.symbols[: e - 1]) + sum(y.symbols[e:])
-    return mod_reduce(params.a1 - total, 3)
+    return (params.a1 - total) % 3
 
 
 def hypothesis_checksum(y: ReceivedWord, k: int, hyp: BitHypothesis, params: CodeParams) -> int:
@@ -136,7 +136,7 @@ def checksum_step(fk: int, k: int, y_k: int | None, hyp: BitHypothesis) -> int:
 def _scan_sync(y: ReceivedWord, deleted: int, erased: int, params: CodeParams, e: int) -> int | None:
     """Smallest k in 1..e whose checksum matches a2 mod n+1, or None."""
     modulus = params.n + 1
-    target = mod_reduce(params.a2, modulus)
+    target = params.a2
     symbols = y.symbols
     fk = _checksum(y, 1, deleted, erased)
     k = 1

@@ -7,10 +7,10 @@ A word x of length n belongs to the code with parameters (n, a1, a2) iff
 The 3(n+1) parameter classes partition {0,1}^n, so some class always has at
 least 2^n / (3(n+1)) members; ``best_params`` picks the largest one.
 
-Exhaustive scans encode words as integers with x_1 in the most significant
-bit, so increasing integer order is exactly lexicographic bit order.  The
-scans are numpy-vectorized and chunked to bound memory; results are
-deterministic and identical to a sequential scan.
+Class sizes come from an exact count over positions, O(n^2) work.  Listing
+a class is exponential: it tabulates the residues of the last positions once
+and scans that table for each prefix of the first positions, in bounded
+chunks; words come out in lexicographic bit order (x_1 most significant).
 """
 
 from __future__ import annotations
@@ -58,51 +58,52 @@ def _check_cap(n: int, cap: int | None) -> None:
         )
 
 
-def _chunk_checksums(start: int, stop: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Residues (bit sum mod 3, weighted sum mod n+1) for words start..stop-1."""
-    values = np.arange(start, stop, dtype=np.uint64)
-    bit_sum = np.zeros(values.shape, dtype=np.int64)
-    weighted = np.zeros(values.shape, dtype=np.int64)
-    for i in range(1, n + 1):
-        bit = ((values >> np.uint64(n - i)) & np.uint64(1)).astype(np.int64)
-        bit_sum += bit
-        weighted += i * bit
-    return bit_sum % 3, weighted % (n + 1)
-
-
-def _chunks(n: int):
-    total = 1 << n
-    step = 1 << min(n, _CHUNK_BITS)
-    for start in range(0, total, step):
-        yield start, min(start + step, total)
-
-
 def class_sizes(n: int, cap: int | None = None) -> np.ndarray:
-    """Sizes of all 3(n+1) parameter classes, indexed [a1, a2]."""
+    """Sizes of all 3(n+1) parameter classes, indexed [a1, a2].
+
+    Counts words one position at a time: setting x_i = 1 moves a word from
+    class (a1, a2) to (a1 + 1, a2 + i).  The counts are exact
+    Python ints (an object array), so no width limits n.
+    """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     _check_cap(n, cap)
-    bins = 3 * (n + 1)
-    counts = np.zeros(bins, dtype=np.int64)
-    for start, stop in _chunks(n):
-        s1, s2 = _chunk_checksums(start, stop, n)
-        counts += np.bincount(s1 * (n + 1) + s2, minlength=bins)
-    return counts.reshape(3, n + 1)
-
-
-def _word_from_int(value: int, n: int) -> Word:
-    return Word(tuple((value >> (n - i)) & 1 for i in range(1, n + 1)))
+    counts = np.zeros((3, n + 1), dtype=object)
+    counts[0, 0] = 1
+    for i in range(1, n + 1):
+        counts = counts + np.roll(counts, (1, i), axis=(0, 1))
+    return counts
 
 
 def enumerate_codebook(params: CodeParams, cap: int | None = None) -> Codebook:
-    """Scan all 2^n words and collect the members of one class."""
-    n = params.n
+    """Collect the members of one class in lexicographic order.
+
+    The residues of the last ``low`` positions are tabulated once, indexed by
+    those bits read as an integer; each of the 2^(n - low) prefixes of the
+    first positions then selects its completions with one comparison.
+    """
+    n, m = params.n, params.n + 1
     _check_cap(n, cap)
+    low = min(n, _CHUNK_BITS)
+    high = n - low
+    # doubling: setting x_i on top of the table adds 1 and i to the sums.
+    # Unreduced, w stays below low * m, which int32 holds for n < 10^8, far
+    # past any n whose words could be listed; the key lies in 0..3m-1
+    s = np.zeros(1, dtype=np.int32)
+    w = np.zeros(1, dtype=np.int32)
+    for i in range(n, high, -1):
+        s = np.concatenate((s, s + 1))
+        w = np.concatenate((w, w + i))
+    key = s % 3 * m + w % m
+    shifts = np.arange(low - 1, -1, -1)
     members: list[Word] = []
-    for start, stop in _chunks(n):
-        s1, s2 = _chunk_checksums(start, stop, n)
-        hits = np.nonzero((s1 == params.a1) & (s2 == params.a2))[0]
-        members.extend(_word_from_int(start + int(v), n) for v in hits)
+    for p in range(1 << high):
+        prefix = tuple((p >> (high - i)) & 1 for i in range(1, high + 1))
+        weighted = sum(i * b for i, b in enumerate(prefix, start=1))
+        target = (params.a1 - sum(prefix)) % 3 * m + (params.a2 - weighted) % m
+        hits = np.flatnonzero(key == target)
+        rows = ((hits[:, None] >> shifts) & 1).tolist()
+        members.extend(Word(prefix + tuple(r)) for r in rows)
     return Codebook(params, tuple(members))
 
 
@@ -111,17 +112,9 @@ def best_params(n: int, cap: int | None = None) -> CodeParams:
 
     By pigeonhole the winner has at least 2^n / (3(n+1)) members.
     """
-    sizes = class_sizes(n, cap)
-    best: CodeParams | None = None
-    best_size = -1
-    for a1 in range(3):
-        for a2 in range(n + 1):
-            size = int(sizes[a1, a2])
-            if size > best_size:
-                best = CodeParams(n, a1, a2)
-                best_size = size
-    assert best is not None
-    return best
+    # argmax takes the first maximum in row-major, i.e. (a1, a2), order
+    a1, a2 = divmod(int(class_sizes(n, cap).argmax()), n + 1)
+    return CodeParams(n, a1, a2)
 
 
 def redundancy(codebook: Codebook) -> float:

@@ -8,7 +8,6 @@ import pytest
 from ordel.analysis import (
     bounds_csv,
     bounds_table,
-    high_run_fraction,
     redundancy_lower_bound,
     redundancy_upper_bound,
     run_count,
@@ -99,10 +98,10 @@ class TestRunThreshold:
 
 class TestRunStats:
     def test_all_words_qualify_when_threshold_negative(self):
-        assert high_run_fraction(3) == 1.0
+        assert run_stats(3).high_run_fraction == 1.0
 
     def test_n12_against_quadratic_bound(self):
-        frac = high_run_fraction(12)
+        frac = run_stats(12).high_run_fraction
         assert frac == 1.0
         assert frac >= 1 - 4 / 12**2
 
@@ -121,6 +120,24 @@ class TestRunStats:
     def test_cap_refusal(self):
         with pytest.raises(ValueError, match="cap"):
             run_stats(29)
+
+    @pytest.mark.parametrize("n", [64, 100])
+    def test_high_run_count_matches_dp(self, n):
+        # the first sizes where the threshold excludes words; the reference
+        # counts words by (last bit, run count), one position at a time
+        by_runs = {(0, 1): 1, (1, 1): 1}
+        for _ in range(n - 1):
+            nxt: dict[tuple[int, int], int] = {}
+            for (last, runs), count in by_runs.items():
+                for bit in (0, 1):
+                    key = (bit, runs + (bit != last))
+                    nxt[key] = nxt.get(key, 0) + count
+            by_runs = nxt
+        threshold = run_threshold(n)
+        expected = sum(c for (_, runs), c in by_runs.items() if runs >= threshold)
+        stats = run_stats(n, cap=n)
+        assert 0 < stats.high_run_count == expected < 2**n
+        assert stats.total_runs == sum(runs * c for (_, runs), c in by_runs.items())
 
 
 class TestBoundsTable:

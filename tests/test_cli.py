@@ -1,6 +1,7 @@
 """Command-line surface: flag grammar, formats, exit codes, determinism."""
 
 import gc
+import hashlib
 import io
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
@@ -212,6 +213,33 @@ class TestRuns:
 
     def test_cap_refusal(self, capsys):
         assert invoke(capsys, "runs", "--n", "29")[0] == 1
+
+
+class TestExhaustiveOutputPinned:
+    """Stdout of the exhaustive commands at n = 12, pinned by SHA-256, so any
+    change in a class size, a listed word or a run tally shows here."""
+
+    @pytest.mark.parametrize(
+        "argv, size, digest",
+        [
+            (("codebook", "--best"), 1393,
+             "2b5ffb32c01e7ae3425e677c726e9263dc39c5fe9906ee990b0a0448b4406f2d"),
+            (("runs",), 139,
+             "7faf98d6a6d6bdcc41a9b2cf2be37f2bd1f3c99241003b577277176d33d225b6"),
+            (("verify",), 152,
+             "7e0f97c3a8cafadc80eae67540930eb69d8fa609e3f45a52ba9dcddb2d47a4db"),
+        ],
+        ids=["codebook", "runs", "verify"],
+    )
+    def test_n12(self, capsys, argv, size, digest):
+        status, out, err = invoke(capsys, argv[0], "--n", "12", *argv[1:])
+        assert (status, err) == (0, "")
+        assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == (size, digest)
+
+    def test_codebook_head_and_tail(self, capsys):
+        lines = invoke(capsys, "codebook", "--n", "12", "--best")[1].splitlines()
+        assert lines[:3] == ["n=12 a1=0 a2=0", "000000000000", "000000101100"]
+        assert lines[-1] == "111111111111"
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -1,4 +1,4 @@
-"""Value types, text encodings, and modular arithmetic."""
+"""Value types and text encodings."""
 
 import pytest
 from hypothesis import given
@@ -8,37 +8,9 @@ from ordel.core import (
     CodeParams,
     ReceivedWord,
     Word,
-    mod_reduce,
     parse_received,
     parse_word,
 )
-
-
-class TestModReduce:
-    def test_examples(self):
-        assert mod_reduce(7, 5) == 2
-        assert mod_reduce(-3, 5) == 2
-        assert mod_reduce(0, 3) == 0
-
-    def test_rejects_nonpositive_modulus(self):
-        with pytest.raises(ValueError):
-            mod_reduce(1, 0)
-        with pytest.raises(ValueError):
-            mod_reduce(1, -2)
-
-    @given(
-        st.integers(-(10**9), 10**9),
-        st.integers(-(10**9), 10**9),
-        st.integers(1, 10**6),
-    )
-    def test_addition_compatible(self, a, b, m):
-        assert mod_reduce(a + b, m) == mod_reduce(mod_reduce(a, m) + mod_reduce(b, m), m)
-
-    @given(st.integers(-(10**9), 10**9), st.integers(1, 10**6))
-    def test_canonical_range(self, v, m):
-        r = mod_reduce(v, m)
-        assert 0 <= r < m
-        assert (r - v) % m == 0
 
 
 class TestWord:

@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ordel.channel import CorruptionPattern, all_patterns, corrupt
@@ -81,6 +81,21 @@ class TestDiscrepancy:
 
     def test_all_zero(self):
         assert discrepancy(parse_received("000", 4), CodeParams(4, 0, 0)) == 0
+
+    def test_negative_difference_examples(self):
+        # a1 - bit sum = 0 - 5 and 1 - 3: both wrap to a residue in 0..2
+        assert discrepancy(parse_received("11111", 6), CodeParams(6, 0, 0)) == 1
+        assert discrepancy(parse_received("1?110", 6), CodeParams(6, 1, 0)) == 1
+
+    @given(st.integers(4, 40), st.data())
+    def test_negative_difference_lands_in_0_2(self, n, data):
+        symbols = data.draw(st.lists(st.integers(0, 1), min_size=n - 1, max_size=n - 1))
+        a1 = data.draw(st.integers(0, 2))
+        total = sum(symbols)
+        assume(a1 - total < 0)
+        d = discrepancy(ReceivedWord(tuple(symbols)), CodeParams(n, a1, 0))
+        assert 0 <= d <= 2
+        assert (a1 - total - d) % 3 == 0
 
 
 class TestHypothesisChecksum:

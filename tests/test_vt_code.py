@@ -98,6 +98,43 @@ class TestEnumerate:
             class_sizes(29)
 
 
+def bitwise_class_sizes(n: int) -> list[list[int]]:
+    """Independent count: extend every (a1, a2) tally by one bit at a time."""
+    table = [[0] * (n + 1) for _ in range(3)]
+    table[0][0] = 1
+    for i in range(1, n + 1):
+        nxt = [row[:] for row in table]
+        for a1 in range(3):
+            for a2 in range(n + 1):
+                nxt[(a1 + 1) % 3][(a2 + i) % (n + 1)] += table[a1][a2]
+        table = nxt
+    return table
+
+
+class TestClassSizes:
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_matches_bitwise_count(self, n):
+        assert class_sizes(n, cap=n).tolist() == bitwise_class_sizes(n)
+
+    def test_exact_beyond_fixed_width(self):
+        sizes = class_sizes(200, cap=200).tolist()
+        assert all(type(size) is int for row in sizes for size in row)
+        assert sum(map(sum, sizes)) == 2**200
+
+
+class TestEnumerateByPrefix:
+    """n = 21 and 22 are the only sizes under the cap that scan several prefixes."""
+
+    @pytest.mark.parametrize("n", [21, 22])
+    def test_count_order_and_membership(self, n):
+        sizes = class_sizes(n)
+        for params in (CodeParams(n, 0, 0), best_params(n), CodeParams(n, 2, n)):
+            words = enumerate_codebook(params).words
+            assert len(words) == sizes[params.a1, params.a2]
+            assert all(a.bits < b.bits for a, b in zip(words, words[1:]))
+            assert all(is_member(w, params) for w in words)
+
+
 class TestBestParams:
     def test_smallest_n(self):
         params = best_params(3)
