@@ -38,11 +38,16 @@ def corrupt(word: Word, pattern: CorruptionPattern) -> ReceivedWord:
     n = word.n
     if pattern.e > n:
         raise ValueError(f"pattern (d={pattern.d}, e={pattern.e}) invalid for word length {n}")
-    d, e = pattern.d, pattern.e
-    shortened = word.bits[: d - 1] + word.bits[d:]
-    if e == n:
-        return ReceivedWord(shortened, None)
-    return ReceivedWord(shortened[: e - 1] + (None,) + shortened[e:], e)
+    symbols = corrupt_symbols(word.bits, pattern.d, pattern.e)
+    return ReceivedWord(symbols, pattern.e if pattern.e < n else None)
+
+
+def corrupt_symbols(bits: tuple[int, ...], d: int, e: int) -> tuple[int | None, ...]:
+    """The symbols of ``corrupt``, unchecked: the caller ensures 1 <= d <= e <= len(bits)."""
+    shortened = bits[: d - 1] + bits[d:]
+    if e == len(bits):
+        return shortened
+    return shortened[: e - 1] + (None,) + shortened[e:]
 
 
 def corrupt_batch(words: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:

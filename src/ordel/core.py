@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 MIN_LENGTH = 3
 ERASURE_CHAR = "?"
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class Word:
         return self.bits[i - 1]
 
     def render(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
+        return bytes(self.bits).translate(_DIGITS).decode()
 
     def __str__(self) -> str:
         return self.render()

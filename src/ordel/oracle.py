@@ -1,10 +1,12 @@
 """Brute-force verification, kept independent of the decoder.
 
-Everything here works by exhaustively applying the corruption map and
-comparing outputs; none of it touches checksums or any decoding logic, so
-agreement between this module and the decoder is genuine evidence.
-Pairwise sweeps are guarded by a step cap because their cost grows like
-(#codebook)^2 * n^2.
+``brute_force_decode`` expands y into its at most 4e candidate preimages and
+keeps the codewords that re-corrupt to y: O(n^2) work plus one codebook pass.
+``verify_code`` and ``deletion_balls_disjoint`` apply the corruption map to
+every codeword under every pattern.  Nothing imported from ``decoder`` feeds
+these three and none touches checksums, so agreement between this module and
+the decoder is genuine evidence.  Pairwise sweeps are guarded by a step cap
+because their cost grows like (#codebook)^2 * n^2.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import run_count
-from .channel import CorruptionPattern, all_patterns, corrupt, corrupt_batch
+from .channel import CorruptionPattern, all_patterns, corrupt, corrupt_batch, corrupt_symbols
 from .core import ReceivedWord, Word
 from .decoder import BATCH_BITS, Recovered, decode, decode_batch
 from .vt_code import Codebook
@@ -55,6 +57,8 @@ class VerificationReport:
 
 def _guard_pairwise(codebook: Codebook, step_cap: int) -> None:
     n = codebook.params.n
+    if any(x.n != n for x in codebook.words):
+        raise ValueError(f"every codeword must have the code length {n}")
     steps = len(codebook.words) ** 2 * n**2
     if steps > step_cap:
         raise ValueError(
@@ -66,18 +70,23 @@ def _guard_pairwise(codebook: Codebook, step_cap: int) -> None:
 def brute_force_decode(y: ReceivedWord, codebook: Codebook) -> PreimageSet:
     """Every (codeword, pattern) pair that corrupts to y.
 
-    Only patterns whose erasure parameter matches y are tried: the erasure
-    position is visible to a receiver, the deletion position is not.
+    Each candidate z inserts a 0 or a 1 before y_d for some d <= e, with the
+    erased slot (if any) filled by a 0 or a 1; z is kept when it is a codeword
+    that re-corrupts to y.  Only patterns whose erasure parameter matches y are
+    tried: the erasure position is visible to a receiver, the deletion position
+    is not.
     """
-    e = y.effective_erasure
+    e, symbols = y.effective_erasure, y.symbols
+    members = {x.bits: x for x in codebook.words}
+    fills = [symbols] if e == y.n else [symbols[: e - 1] + (b,) + symbols[e:] for b in (0, 1)]
     pairs = set()
-    for x in codebook.words:
-        if x.n != y.n:
-            continue
-        for d in range(1, e + 1):
-            pattern = CorruptionPattern(d, e)
-            if corrupt(x, pattern) == y:
-                pairs.add((x, pattern))
+    for d in range(1, e + 1):
+        for filled in fills:
+            for bit in (0, 1):
+                z = filled[: d - 1] + (bit,) + filled[d - 1 :]
+                x = members.get(z)
+                if x is not None and corrupt_symbols(z, d, e) == symbols:
+                    pairs.add((x, CorruptionPattern(d, e)))
     return PreimageSet(y, frozenset(pairs))
 
 
@@ -93,16 +102,16 @@ def verify_code(codebook: Codebook, step_cap: int = DEFAULT_STEP_CAP) -> Verific
     for pattern in all_patterns(n):
         seen: dict[tuple[int | None, ...], Word] = {}
         for x in codebook.words:
-            y = corrupt(x, pattern)
+            symbols = corrupt_symbols(x.bits, pattern.d, pattern.e)
             checked += 1
-            other = seen.get(y.symbols)
+            other = seen.get(symbols)
             if other is not None:
                 return VerificationReport(
                     "code-capability",
                     checked,
                     f"FAIL x1={other.render()} x2={x.render()} d={pattern.d} e={pattern.e}",
                 )
-            seen[y.symbols] = x
+            seen[symbols] = x
     return VerificationReport("code-capability", checked)
 
 
@@ -162,7 +171,7 @@ def deletion_balls_disjoint(
     for x in codebook.words:
         ball: dict[tuple[int | None, ...], int] = {}
         for d in range(1, n + 1):
-            ball.setdefault(corrupt(x, CorruptionPattern(d, n)).symbols, d)
+            ball.setdefault(corrupt_symbols(x.bits, d, n), d)
             checked += 1
         if len(ball) != run_count(x):
             return VerificationReport(

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordel.channel import (
@@ -13,6 +13,7 @@ from ordel.channel import (
     all_patterns,
     corrupt,
     corrupt_batch,
+    corrupt_symbols,
     draw_pattern,
     random_pattern,
 )
@@ -78,6 +79,13 @@ class TestCorrupt:
         outputs = {corrupt(w, CorruptionPattern(dd, e)).render() for dd in range(lo, hi + 1)}
         assert len(outputs) == 1
 
+    @pytest.mark.parametrize("n", range(3, 13))
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_symbols_match_corrupt_on_every_pattern(self, n, data):
+        bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        for p in all_patterns(n):
+            assert corrupt_symbols(bits, p.d, p.e) == corrupt(Word(bits), p).symbols
 
     @given(words)
     def test_batch_matches_corrupt_on_every_pattern(self, w):

@@ -1,20 +1,62 @@
 """Brute-force verification machinery and its agreement with the decoder."""
 
+from collections import defaultdict
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ordel import oracle
 from ordel.channel import CorruptionPattern, all_patterns, corrupt
-from ordel.core import CodeParams, Word, parse_received, parse_word
+from ordel.core import CodeParams, ReceivedWord, Word, parse_received, parse_word
 from ordel.decoder import Recovered, decode
 from ordel.oracle import (
+    PreimageSet,
     brute_force_decode,
     deletion_balls_disjoint,
     verify_code,
     verify_decoder,
 )
 from ordel.vt_code import Codebook, best_params, enumerate_codebook
+
+
+def loop_decode(y: ReceivedWord, codebook: Codebook) -> PreimageSet:
+    """Reference: try every codeword with every d <= e through ``corrupt``."""
+    e = y.effective_erasure
+    pairs = set()
+    for x in codebook.words:
+        if x.n != y.n:
+            continue
+        for d in range(1, e + 1):
+            pattern = CorruptionPattern(d, e)
+            if corrupt(x, pattern) == y:
+                pairs.add((x, pattern))
+    return PreimageSet(y, frozenset(pairs))
+
+
+def all_preimage_sets(codebook: Codebook) -> dict[ReceivedWord, PreimageSet]:
+    """``loop_decode`` for every reachable y, from one ``corrupt`` per codeword and pattern.
+
+    A pair (x, p) with corrupt(x, p) == y is exactly what ``loop_decode(y)``
+    collects, since p.e is then y's erasure parameter.
+    """
+    pairs = defaultdict(set)
+    for x in codebook.words:
+        for pattern in all_patterns(x.n):
+            pairs[corrupt(x, pattern)].add((x, pattern))
+    return {y: PreimageSet(y, frozenset(found)) for y, found in pairs.items()}
+
+
+@st.composite
+def received_words(draw):
+    """Any received word: any length, any symbols, an erasure anywhere or none."""
+    n = draw(st.integers(3, 12))
+    symbols = draw(st.lists(st.integers(0, 1), min_size=n - 1, max_size=n - 1))
+    erasure_pos = draw(st.none() | st.integers(1, n - 1))
+    if erasure_pos is not None:
+        symbols[erasure_pos - 1] = None
+    return ReceivedWord(tuple(symbols), erasure_pos)
 
 
 class TestBruteForceDecode:
@@ -28,6 +70,52 @@ class TestBruteForceDecode:
         codebook = enumerate_codebook(CodeParams(4, 2, 0))
         pre = brute_force_decode(parse_received("000", 4), codebook)
         assert pre.candidates == frozenset()
+
+    def test_several_deletions_in_one_run(self):
+        # deleting either 1 of 0110 gives 010, so one word comes with two patterns
+        codebook = enumerate_codebook(CodeParams(4, 2, 0))
+        y = parse_received("010", 4)
+        pre = brute_force_decode(y, codebook)
+        word = parse_word("0110")
+        assert pre.candidates == {(word, CorruptionPattern(2, 4)), (word, CorruptionPattern(3, 4))}
+        assert pre == loop_decode(y, codebook)
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_equals_loop_on_every_class(self, n):
+        for a1 in range(3):
+            for a2 in range(n + 1):
+                codebook = enumerate_codebook(CodeParams(n, a1, a2))
+                for y, expected in all_preimage_sets(codebook).items():
+                    assert brute_force_decode(y, codebook) == expected
+
+    def test_equals_loop_on_best_class_n13(self):
+        codebook = enumerate_codebook(best_params(13))
+        expected = all_preimage_sets(codebook)
+        assert len(expected) == 10163
+        for y, pre in expected.items():
+            assert brute_force_decode(y, codebook) == pre
+
+    @given(received_words(), st.integers(0, 2), st.data())
+    def test_equals_loop_on_arbitrary_words(self, y, a1, data):
+        a2 = data.draw(st.integers(0, y.n))
+        codebook = enumerate_codebook(CodeParams(y.n, a1, a2))
+        assert brute_force_decode(y, codebook) == loop_decode(y, codebook)
+
+    def test_unsorted_codebook(self):
+        sorted_book = enumerate_codebook(best_params(7))
+        shuffled = Codebook(sorted_book.params, sorted_book.words[3:][::-1] + sorted_book.words[:3])
+        assert sorted(shuffled.words, key=lambda w: w.bits) == list(sorted_book.words)
+        for y, expected in all_preimage_sets(sorted_book).items():
+            assert brute_force_decode(y, shuffled) == expected == loop_decode(y, shuffled)
+
+    def test_mixed_word_lengths(self):
+        words = enumerate_codebook(best_params(5)).words + enumerate_codebook(best_params(6)).words
+        codebook = Codebook(best_params(5), words)
+        ys = {corrupt(x, p) for x in words for p in all_patterns(x.n)}
+        assert {y.n for y in ys} == {5, 6}
+        for y in ys:
+            pre = brute_force_decode(y, codebook)
+            assert pre.candidates and pre == loop_decode(y, codebook)
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_contains_the_true_preimage(self, n):
@@ -52,7 +140,8 @@ class TestVerifyCode:
         words = tuple(Word(bits) for bits in product((0, 1), repeat=3))
         report = verify_code(Codebook(CodeParams(3, 0, 0), words))
         assert not report.passed
-        assert report.render().startswith("FAIL x1=")
+        assert report.checked == 3
+        assert report.render() == "FAIL x1=000 x2=010 d=1 e=1"
         parts = dict(
             kv.split("=") for kv in report.render().removeprefix("FAIL ").split()
         )
@@ -70,6 +159,12 @@ class TestVerifyCode:
         codebook = enumerate_codebook(best_params(8))
         with pytest.raises(ValueError, match="cap"):
             verify_code(codebook, step_cap=10)
+
+    @pytest.mark.parametrize("sweep", [verify_code, verify_decoder, deletion_balls_disjoint])
+    def test_rejects_words_of_another_length(self, sweep):
+        words = (parse_word("0110"), parse_word("10010"))
+        with pytest.raises(ValueError, match="code length 4"):
+            sweep(Codebook(CodeParams(4, 2, 0), words))
 
 
 class TestVerifyDecoder:
@@ -126,7 +221,8 @@ class TestDeletionBalls:
         words = (parse_word("0001"), parse_word("1000"))
         report = deletion_balls_disjoint(Codebook(CodeParams(4, 0, 0), words))
         assert not report.passed
-        assert report.render().startswith("FAIL x1=0001 x2=1000")
+        assert report.checked == 8
+        assert report.render() == "FAIL x1=0001 x2=1000 d=4 e=4"
 
 
 class TestOracleDecoderAgreement:
