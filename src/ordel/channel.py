@@ -71,6 +71,21 @@ def all_patterns(n: int) -> list[CorruptionPattern]:
     return [CorruptionPattern(d, e) for d in range(1, n + 1) for e in range(d, n + 1)]
 
 
+def patterns_at(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(d, e) of the patterns at 0-based positions ``index`` of ``all_patterns(n)``.
+
+    Counted from the end, where d = n, n-1, ... hold 1, 2, ... patterns, q =
+    n(n+1)/2 - 1 - index lies in the block d = n - j, j the triangular root
+    of q.  A float64 root, corrected by one either way in int64, is exact
+    while n(n+1)/2 < 2^62: for every n that ``decode_batch`` accepts.
+    """
+    q = n * (n + 1) // 2 - 1 - np.asarray(index, np.int64)
+    j = ((np.sqrt(8.0 * q + 1) - 1) // 2).astype(np.int64)
+    j -= j * (j + 1) // 2 > q
+    j += (j + 1) * (j + 2) // 2 <= q
+    return n - j, n - (q - j * (j + 1) // 2)
+
+
 def random_pattern(n: int, seed: int) -> CorruptionPattern:
     """A uniformly random valid pattern, deterministic for a given seed.
 

@@ -157,7 +157,7 @@ def bounds_cmd(n_list: str | None, n_grid: str | None) -> None:
 @click.option("--n", type=int, required=True)
 @click.option("--trials", type=int, required=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--a1", type=int, default=None, help="Fix the class and rejection-sample members.")
+@click.option("--a1", type=int, default=None, help="Fix the class; members are drawn uniformly from it.")
 @click.option("--a2", type=int, default=None)
 def simulate_cmd(n: int, trials: int, seed: int, a1: int | None, a2: int | None) -> None:
     """Random corrupt/decode round trips; reports the failure count."""

@@ -7,13 +7,13 @@ decodes, and compares.  Two ways to draw the codeword:
   belongs to (a1 = bit sum mod 3, a2 = weighted sum mod n+1) — every word is
   a member of exactly one class, so this samples (class, member) pairs
   without any rejection and scales to large n;
-* fixed class: with a1/a2 given, rejection-sample uniform words until one
-  satisfies both congruences.  Acceptance is roughly 1/(3(n+1)), so this is
-  for small n.
+* fixed class: with a1/a2 given, keep a uniform word's bits outside L
+  completion positions and fill those from a table of the 2^L completions,
+  rejecting with the probability that keeps members uniform (``_complete``).
 
-All randomness comes from one `random.Random(seed)` in a fixed draw order
-(per batch: the words, as ``getrandbits`` of all their bits, then one
-``draw_pattern`` per trial), so reports are reproducible byte for byte.
+All randomness comes from one `random.Random(seed)` in a fixed draw order (per
+batch: ``getrandbits`` for the words' bits, for a fixed class then for their u,
+and one ``randrange`` pattern index per trial): reports repeat byte for byte.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import corrupt, corrupt_batch, draw_pattern
+from .channel import CorruptionPattern, corrupt, corrupt_batch, patterns_at
 from .core import CodeParams, Word
 from .decoder import BATCH_BITS, Recovered, decode, decode_batch, row_sums
+from .vt_code import class_sizes, subset_keys
 
 
 @dataclass(frozen=True)
@@ -56,38 +57,53 @@ def _draw_words(rng: random.Random, rows: int, n: int) -> np.ndarray:
     return bits.reshape(rows, n)
 
 
-def _draw_codewords(
-    rng: random.Random, n: int, count: int, rows: int, a1: int | None, a2: int | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``count`` words and their classes (a1 values, a2 values).
+def _completions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The completion table at length n: (cols, order, start, k).
 
-    Without a fixed class each word adopts its own.  With one, words are
-    drawn ``rows`` at a time and the members kept; a run of 300(n+1) draws
-    without a member raises (acceptance is ~1/(3(n+1)), so far beyond that
-    the class is empty or near-empty and the sampler would spin forever).
+    ``cols`` are the 0-based columns of L positions: every power of two <= n,
+    whose subsets reach every weighted residue, then the smallest others.
+    Sorted by key, the 2^L completions hold bucket t at order[start[t]:start[t + 1]].
     """
+    b = n.bit_length()
+    size = min(n, max(b, min(16, b + 5)))
+    others = [i for i in range(3, 3 * size) if i & (i - 1)][: size - b]
+    cols = np.array(sorted(others + [1 << j for j in range(b)]))
+    key = subset_keys(cols, n + 1)
+    start = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=3 * (n + 1)))))
+    k = int(np.diff(start).max() - 1).bit_length()  # 2^k >= the largest bucket
+    return cols - 1, np.argsort(key, kind="stable"), start, k
+
+
+def _complete(table, words: np.ndarray, u: np.ndarray, a1: int, a2: int) -> np.ndarray:
+    """The members that rows (free bits, u) select, in row order; a pure function.
+
+    A row is kept iff u < the size of the bucket its bits outside ``cols`` need,
+    completed by the bucket's entry u: one (free bits, u) per member, so uniform.
+    """
+    cols, order, start, _ = table
+    m = words.shape[1] + 1
+    free = words.copy()
+    free[:, cols] = 0
+    bit_sum, weighted = row_sums(free, 1)
+    key = (a1 - bit_sum) % 3 * m + (a2 - weighted) % m
+    ok = u < start[key + 1] - start[key]
+    kept = free[ok]
+    kept[:, cols] = order[start[key[ok]] + u[ok], None] >> np.arange(cols.size) & 1
+    return kept
+
+
+def _draw_codewords(
+    rng: random.Random, n: int, count: int, rows: int, a1: int | None, a2: int | None, table
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``count`` words and their classes (a1 values, a2 values): each word's own, or a1/a2."""
     if a1 is None:
         words = _draw_words(rng, count, n)
         bit_sum, weighted = row_sums(words, 1)
         return words, bit_sum % 3, weighted % (n + 1)
-    limit = 300 * (n + 1)
     found: list[np.ndarray] = []
-    have = since = 0
-    while have < count:
-        words = _draw_words(rng, rows, n)
-        bit_sum, weighted = row_sums(words, 1)
-        hits = np.flatnonzero((bit_sum % 3 == a1) & (weighted % (n + 1) == a2))
-        # draws without a member: before each hit, and after the last one
-        edges = [-1 - since, *hits.tolist(), rows]
-        gap = max(b - a - 1 for a, b in zip(edges, edges[1:]))
-        if gap >= limit:
-            raise ValueError(
-                f"no member of class (a1={a1}, a2={a2}) found in {gap} consecutive "
-                f"draws; the class is empty or near-empty"
-            )
-        since = rows - 1 - edges[-2]
-        found.append(words[hits])
-        have += hits.size
+    while sum(map(len, found)) < count:  # rows words, then their k-bit values of u
+        words, u_bits = _draw_words(rng, rows, n), _draw_words(rng, rows, table[3])
+        found.append(_complete(table, words, u_bits @ (1 << np.arange(table[3])), a1, a2))
     return np.concatenate(found)[:count], np.full(count, a1), np.full(count, a2)
 
 
@@ -110,27 +126,28 @@ def run_trials(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if (a1 is None) != (a2 is None):
         raise ValueError("a1 and a2 must be given together")
+    mode, table = "per-word-class", None
     if a1 is not None:
         CodeParams(n, a1, a2)  # rejects residues outside 0..2 and 0..n
-        mode = f"rejection(a1={a1},a2={a2})"
-    else:
-        mode = "per-word-class"
+        # no class is empty from n = 13 on: a subset of 7..n meets any weighted
+        # residue, then {6}, {1, 5} or {1, 2, 3} adds 6 and the bit-sum residue
+        if n < 13 and class_sizes(n)[a1, a2] == 0:
+            raise ValueError(f"class (n={n}, a1={a1}, a2={a2}) is empty: no word has both residues")
+        mode, table = f"rejection(a1={a1},a2={a2})", _completions(n)
     rng = random.Random(seed)
     rows = max(1, BATCH_BITS // n)
     failures = 0
     first_failure: str | None = None
     for done in range(0, trials, rows):
         count = min(rows, trials - done)
-        words, s1, s2 = _draw_codewords(rng, n, count, rows, a1, a2)
-        patterns = [draw_pattern(rng, n) for _ in range(count)]
-        d = np.array([p.d for p in patterns])
-        e = np.array([p.e for p in patterns])
+        words, s1, s2 = _draw_codewords(rng, n, count, rows, a1, a2, table)
+        d, e = patterns_at([rng.randrange(n * (n + 1) // 2) for _ in range(count)], n)
         decoded, _, status = decode_batch(corrupt_batch(words, d, e), e, s1, s2)
         bad = np.flatnonzero((status < 1) | (decoded != words).any(axis=1))
         failures += bad.size
         if bad.size and first_failure is None:
             i = bad[0]
-            word, pattern = Word(tuple(words[i].tolist())), patterns[i]
+            word, pattern = Word(tuple(words[i].tolist())), CorruptionPattern(int(d[i]), int(e[i]))
             params = CodeParams(n, int(s1[i]), int(s2[i]))
             outcome = decode(corrupt(word, pattern), params)
             got = outcome.word.render() if isinstance(outcome, Recovered) else outcome.reason

@@ -75,6 +75,19 @@ def class_sizes(n: int, cap: int | None = None) -> np.ndarray:
     return counts
 
 
+def subset_keys(positions, m: int) -> np.ndarray:
+    """Key (bit sum mod 3) * m + (weighted sum mod m) of every subset of ``positions``.
+
+    Entry t holds positions[j] for each set bit j of t.  Built by doubling in
+    unreduced int32, exact while 3m and the sum of the positions are < 2^31.
+    """
+    s = w = np.zeros(1, dtype=np.int32)
+    for i in positions:
+        s = np.concatenate((s, s + 1))
+        w = np.concatenate((w, w + i))
+    return s % 3 * m + w % m
+
+
 def enumerate_codebook(params: CodeParams, cap: int | None = None) -> Codebook:
     """Collect the members of one class in lexicographic order.
 
@@ -86,15 +99,7 @@ def enumerate_codebook(params: CodeParams, cap: int | None = None) -> Codebook:
     _check_cap(n, cap)
     low = min(n, _CHUNK_BITS)
     high = n - low
-    # doubling: setting x_i on top of the table adds 1 and i to the sums.
-    # Unreduced, w stays below low * m, which int32 holds for n < 10^8, far
-    # past any n whose words could be listed; the key lies in 0..3m-1
-    s = np.zeros(1, dtype=np.int32)
-    w = np.zeros(1, dtype=np.int32)
-    for i in range(n, high, -1):
-        s = np.concatenate((s, s + 1))
-        w = np.concatenate((w, w + i))
-    key = s % 3 * m + w % m
+    key = subset_keys(range(n, high, -1), m)
     shifts = np.arange(low - 1, -1, -1)
     members: list[Word] = []
     for p in range(1 << high):

@@ -15,6 +15,7 @@ from ordel.channel import (
     corrupt_batch,
     corrupt_symbols,
     draw_pattern,
+    patterns_at,
     random_pattern,
 )
 from ordel.core import Word, parse_word
@@ -112,6 +113,32 @@ class TestAllPatterns:
         assert len(pats) == count == n * (n + 1) // 2
         assert len(set(pats)) == count
         assert all(1 <= p.d <= p.e <= n for p in pats)
+
+
+class TestPatternsAt:
+    def test_every_index_in_all_patterns_order(self):
+        # the upper triangle of an n x n grid, row by row, is the (d, e)
+        # lexicographic order; all_patterns itself is slow past n = 40
+        for n in range(3, 201):
+            d, e = patterns_at(np.arange(n * (n + 1) // 2), n)
+            row, col = np.triu_indices(n)
+            assert np.array_equal(d, row + 1) and np.array_equal(e, col + 1), n
+            if n <= 40:
+                assert list(zip(d.tolist(), e.tolist())) == [(p.d, p.e) for p in all_patterns(n)]
+
+    def test_at_the_largest_n_decode_batch_accepts(self):
+        # n + 1 = 2^31 - 1, so n(n+1)/2 is about 2^61.  The pairs sit at block
+        # ends, where the float root comes out one too high for about a third
+        # of them; index(d, e) counts the patterns before (d, e)
+        n = 2**31 - 2
+        rng = random.Random(5)
+        sample = [1, 2, 3, n // 2, n - 2, n - 1, n] + [rng.randint(1, n) for _ in range(200)]
+        pairs = {(d, e) for d in sample for e in (d, d + 1, (d + n) // 2, n - 1, n) if d <= e <= n}
+        pairs = sorted(pairs)
+        index = [(d - 1) * (2 * n - d + 2) // 2 + e - d for d, e in pairs]
+        assert index[0] == 0 and index[-1] == n * (n + 1) // 2 - 1
+        d, e = patterns_at(np.array(index), n)
+        assert list(zip(d.tolist(), e.tolist())) == pairs
 
 
 class TestRandomPattern:

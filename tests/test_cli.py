@@ -9,6 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from ordel.cli import run
+from ordel.vt_code import class_sizes
 
 
 def invoke(capsys, *argv):
@@ -193,6 +194,21 @@ class TestSimulate:
         )
         assert status == 0
         assert "mode=rejection(a1=0,a2=0)" in out
+
+    @pytest.mark.parametrize(
+        "n, a1, a2",
+        [(n, a1, a2) for n in range(3, 11) for a1 in range(3) for a2 in range(n + 1)
+         if class_sizes(n)[a1, a2] == 0],
+    )
+    def test_empty_class_is_a_usage_error(self, capsys, n, a1, a2):
+        status, out, err = invoke(
+            capsys, "simulate", "--n", str(n), "--trials", "5", "--seed", "1",
+            "--a1", str(a1), "--a2", str(a2),
+        )
+        assert (status, out) == (1, "")
+        assert err == (
+            f"error: class (n={n}, a1={a1}, a2={a2}) is empty: no word has both residues\n"
+        )
 
     def test_partial_class_rejected(self, capsys):
         status, _, _ = invoke(

@@ -1,11 +1,16 @@
 """Seeded round-trip trials."""
 
+import random
 import re
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from ordel import montecarlo
+from ordel.core import CodeParams
 from ordel.montecarlo import run_trials
+from ordel.vt_code import best_params, class_sizes, enumerate_codebook
 
 
 def test_reports_zero_failures_for_valid_corruptions():
@@ -28,6 +33,59 @@ def test_fixed_class_rejection_mode():
     assert report.mode == "rejection(a1=0,a2=0)"
 
 
+@pytest.mark.parametrize("a1, a2", [(0, 0), (2, 1000), (1, 437)])
+def test_fixed_class_at_n1000(a1, a2):
+    report = run_trials(1000, 300, seed=11, a1=a1, a2=a2)
+    assert report.render() == f"n=1000 trials=300 seed=11 mode=rejection(a1={a1},a2={a2}) failures=0"
+
+
+def test_fixed_class_deterministic_for_fixed_seed():
+    a = run_trials(64, 700, seed=3, a1=1, a2=7)
+    assert a == run_trials(64, 700, seed=3, a1=1, a2=7)
+    assert a != run_trials(64, 700, seed=4, a1=1, a2=7)
+    assert a.passed
+
+
+def test_fixed_class_draws_are_members_at_n1000():
+    table = montecarlo._completions(1000)
+    words, s1, s2 = montecarlo._draw_codewords(random.Random(2), 1000, 100, 32, 2, 999, table)
+    weights = np.arange(1, 1001)
+    assert words.shape == (100, 1000) and len({w.tobytes() for w in words}) == 100
+    assert (words.sum(axis=1) % 3 == 2).all() and (words @ weights % 1001 == 999).all()
+    assert (s1 == 2).all() and (s2 == 999).all()
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_sampler_selects_each_member_exactly_once(n):
+    # every free prefix with every u: the accepted completions are the class,
+    # each member once, so uniform (free bits, u) draws give uniform members
+    table = montecarlo._completions(n)
+    cols, k = table[0], table[3]
+    free = np.setdiff1d(np.arange(n), cols)
+    assert free.size > 0
+    prefixes = (np.arange(1 << free.size)[:, None] >> np.arange(free.size)) & 1
+    rows = np.repeat(prefixes, 1 << k, axis=0)
+    words = np.zeros((rows.shape[0], n), np.uint8)
+    words[:, free] = rows
+    u = np.tile(np.arange(1 << k), 1 << free.size)
+    for params in (best_params(n), CodeParams(n, 0, 0), CodeParams(n, 2, n)):
+        before = words.copy()
+        got = Counter(map(tuple, montecarlo._complete(table, words, u, params.a1, params.a2).tolist()))
+        assert np.array_equal(words, before)
+        assert got == Counter(w.bits for w in enumerate_codebook(params).words)
+        assert set(got.values()) == {1}
+
+
+def test_seeded_draws_cover_a_small_class_evenly():
+    table = montecarlo._completions(8)
+    words, _, _ = montecarlo._draw_codewords(random.Random(8), 8, 60_000, 4096, 1, 3, table)
+    counts = Counter(map(tuple, words.tolist()))
+    assert set(counts) == {w.bits for w in enumerate_codebook(CodeParams(8, 1, 3)).words}
+    assert len(counts) == 9
+    mean = 60_000 / 9
+    assert all(abs(c - mean) <= 0.05 * mean for c in counts.values()), counts
+
+
 def test_rejects_partial_class_arguments():
     with pytest.raises(ValueError):
         run_trials(10, 10, seed=1, a1=0)
@@ -37,6 +95,32 @@ def test_empty_class_detected_instead_of_spinning():
     # (a1=0, a2=1) has no members at n = 3
     with pytest.raises(ValueError, match="empty"):
         run_trials(3, 1, seed=1, a1=0, a2=1)
+
+
+EMPTY_CLASSES = [
+    (n, a1, a2)
+    for n in range(3, 11)
+    for a1 in range(3)
+    for a2 in range(n + 1)
+    if class_sizes(n)[a1, a2] == 0
+]
+
+
+def test_the_empty_classes_are_at_n3():
+    assert EMPTY_CLASSES == [(3, 0, 1), (3, 0, 3), (3, 1, 0), (3, 2, 2)]
+
+
+@pytest.mark.parametrize("n, a1, a2", EMPTY_CLASSES)
+def test_every_empty_class_raises(n, a1, a2):
+    with pytest.raises(ValueError, match=rf"class \(n={n}, a1={a1}, a2={a2}\) is empty"):
+        run_trials(n, 5, seed=1, a1=a1, a2=a2)
+
+
+def test_no_class_is_empty_from_n4():
+    # run_trials checks emptiness below n = 13 only; the argument in its
+    # comment covers every larger n, this every n up to 100
+    for n in range(4, 101):
+        assert min(class_sizes(n, cap=n).flat) > 0, n
 
 
 def test_rejects_bad_arguments():
@@ -72,4 +156,29 @@ def test_rejected_trial_counted_and_described(monkeypatch):
     assert int(a2) == sum(i * b for i, b in enumerate(bits, start=1)) % 21
     assert report.render() == (
         f"n=20 trials=10 seed=4 mode=per-word-class failures=1\nfirst_failure: {report.first_failure}"
+    )
+
+
+def test_rejected_fixed_class_trial_carries_the_class(monkeypatch):
+    real = montecarlo.decode_batch
+
+    def reject_trial_2(y, e, a1, a2):
+        words, k, status = real(y, e, a1, a2)
+        status = status.copy()
+        status[2] = 0
+        return words, k, status
+
+    monkeypatch.setattr(montecarlo, "decode_batch", reject_trial_2)
+    report = run_trials(40, 6, seed=9, a1=2, a2=17)
+    assert report.failures == 1 and not report.passed
+    line = re.fullmatch(r"x=([01]{40}) d=(\d+) e=(\d+) a1=2 a2=17 got=([01]{40})", report.first_failure)
+    assert line is not None, report.first_failure
+    x, d, e, got = line.groups()
+    bits = [int(c) for c in x]
+    assert got == x
+    assert 1 <= int(d) <= int(e) <= 40
+    assert sum(bits) % 3 == 2
+    assert sum(i * b for i, b in enumerate(bits, start=1)) % 41 == 17
+    assert report.render() == (
+        f"n=40 trials=6 seed=9 mode=rejection(a1=2,a2=17) failures=1\nfirst_failure: {report.first_failure}"
     )
