@@ -61,10 +61,13 @@ def redundancy_lower_bound(n: int) -> float | None:
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    argument = n - 1 - 2.0 * math.sqrt((n - 1) * math.log2(n))
-    if argument <= MIN_BOUND_ARGUMENT:
+    # in units of 2^s, so that huge n never meets a float; s = 0 up to n ~ 10^301
+    s = max(0, (n - 1).bit_length() - 1000)
+    m = (n - 1) / 2**s
+    argument = m - 2.0 * math.sqrt(m * math.ldexp(math.log2(n), -s))
+    if argument <= math.ldexp(MIN_BOUND_ARGUMENT, -s):
         return None
-    return math.log2(argument)
+    return s + math.log2(argument)
 
 
 def run_count(word: Word) -> int:

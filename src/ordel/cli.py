@@ -104,7 +104,7 @@ def decode_cmd(
 def verify_cmd(n: int, all_params: bool, cap: int | None) -> None:
     """Run the brute-force checks (code capability, decoder, deletion balls)."""
     if all_params:
-        param_list = [CodeParams(n, a1, a2) for a1 in range(3) for a2 in range(n + 1)]
+        param_list = (CodeParams(n, a1, a2) for a1 in range(3) for a2 in range(n + 1))
     else:
         param_list = [vt_code.best_params(n, cap)]
     failed = False

@@ -68,8 +68,6 @@ class DecodeFailure:
     reason: str
 
 
-DecodeOutcome = Recovered | DecodeFailure
-
 # word bits per batch for callers of decode_batch: BATCH_BITS // n rows at a
 # time bounds a batch's largest temporary (the int32 prefix sums) to 128 KB
 # whatever n is, and keeps the numpy calls per row few
@@ -159,7 +157,7 @@ def _rebuild(y: ReceivedWord, k: int, deleted: int, erased: int) -> Word:
     return Word(s[: k - 1] + (deleted,) + s[k - 1 : e - 1] + (erased,) + s[e:])
 
 
-def decode(y: ReceivedWord, params: CodeParams) -> DecodeOutcome:
+def decode(y: ReceivedWord, params: CodeParams) -> Recovered | DecodeFailure:
     """Recover the transmitted codeword from a deletion-erasure corrupted word.
 
     Guaranteed to return the transmitted word whenever y was produced by
@@ -224,6 +222,12 @@ def _first_sync(y, e, a2, deleted, erased, weighted) -> np.ndarray:
     return np.where(target == 0, 1, np.where(found, j + 1, 0))
 
 
+def check_batch_length(n: int) -> None:
+    """Refuse n + 1 >= 2^31: ``decode_batch``'s prefix sums and sync targets are int32."""
+    if n + 1 >= 2**31:
+        raise ValueError(f"n = {n} needs prefix sums past 2^31 - 1, the int32 limit")
+
+
 def decode_batch(y: np.ndarray, e, a1, a2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``decode`` for B received words at once, row for row the same result.
 
@@ -249,8 +253,7 @@ def decode_batch(y: np.ndarray, e, a1, a2) -> tuple[np.ndarray, np.ndarray, np.n
     """
     rows, m = y.shape
     n = m + 1
-    if n + 1 >= 2**31:
-        raise ValueError(f"n = {n} needs prefix sums past 2^31 - 1, the int32 limit")
+    check_batch_length(n)
     e = np.broadcast_to(np.asarray(e, np.int64), (rows,))
     a1 = np.broadcast_to(np.asarray(a1, np.int64), (rows,))
     a2 = np.broadcast_to(np.asarray(a2, np.int64), (rows,))

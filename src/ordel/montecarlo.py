@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import CorruptionPattern, corrupt, corrupt_batch, patterns_at
 from .core import CodeParams, Word
-from .decoder import BATCH_BITS, Recovered, decode, decode_batch, row_sums
+from .decoder import BATCH_BITS, Recovered, check_batch_length, decode, decode_batch, row_sums
 from .vt_code import class_sizes, subset_keys
 
 
@@ -122,6 +122,7 @@ def run_trials(
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
+    check_batch_length(n)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if (a1 is None) != (a2 is None):

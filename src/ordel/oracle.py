@@ -21,7 +21,7 @@ from .core import ReceivedWord, Word
 from .decoder import BATCH_BITS, Recovered, decode, decode_batch
 from .vt_code import Codebook
 
-DEFAULT_STEP_CAP = 10**9
+PAIRWISE_STEP_CAP = 10**9
 
 
 @dataclass(frozen=True)
@@ -55,16 +55,13 @@ class VerificationReport:
         return f"PASS checked={self.checked}"
 
 
-def _guard_pairwise(codebook: Codebook, step_cap: int) -> None:
+def _guard_pairwise(codebook: Codebook) -> None:
     n = codebook.params.n
     if any(x.n != n for x in codebook.words):
         raise ValueError(f"every codeword must have the code length {n}")
     steps = len(codebook.words) ** 2 * n**2
-    if steps > step_cap:
-        raise ValueError(
-            f"pairwise sweep needs ~{steps} steps, above the cap {step_cap}; "
-            f"raise the cap explicitly to force it"
-        )
+    if steps > PAIRWISE_STEP_CAP:
+        raise ValueError(f"pairwise sweep needs ~{steps} steps, above the cap {PAIRWISE_STEP_CAP}")
 
 
 def brute_force_decode(y: ReceivedWord, codebook: Codebook) -> PreimageSet:
@@ -90,13 +87,13 @@ def brute_force_decode(y: ReceivedWord, codebook: Codebook) -> PreimageSet:
     return PreimageSet(y, frozenset(pairs))
 
 
-def verify_code(codebook: Codebook, step_cap: int = DEFAULT_STEP_CAP) -> VerificationReport:
+def verify_code(codebook: Codebook) -> VerificationReport:
     """Check that no two codewords collide under any one corruption pattern.
 
     Scans patterns in (d, e) order and codewords in codebook order, so the
     reported violation is deterministic.
     """
-    _guard_pairwise(codebook, step_cap)
+    _guard_pairwise(codebook)
     n = codebook.params.n
     checked = 0
     for pattern in all_patterns(n):
@@ -115,14 +112,14 @@ def verify_code(codebook: Codebook, step_cap: int = DEFAULT_STEP_CAP) -> Verific
     return VerificationReport("code-capability", checked)
 
 
-def verify_decoder(codebook: Codebook, step_cap: int = DEFAULT_STEP_CAP) -> VerificationReport:
+def verify_decoder(codebook: Codebook) -> VerificationReport:
     """Round-trip every codeword through every pattern and the decoder.
 
     Rows run in codebook x ``all_patterns`` order, BATCH_BITS // n at a time,
     through ``corrupt_batch`` and ``decode_batch``; the first failing row is
     decoded again by the scalar ``decode`` for the report.
     """
-    _guard_pairwise(codebook, step_cap)
+    _guard_pairwise(codebook)
     params = codebook.params
     n = params.n
     patterns = all_patterns(n)
@@ -155,16 +152,14 @@ def verify_decoder(codebook: Codebook, step_cap: int = DEFAULT_STEP_CAP) -> Veri
     return VerificationReport("decoder-round-trip", total)
 
 
-def deletion_balls_disjoint(
-    codebook: Codebook, step_cap: int = DEFAULT_STEP_CAP
-) -> VerificationReport:
+def deletion_balls_disjoint(codebook: Codebook) -> VerificationReport:
     """Check single-deletion neighborhoods are pairwise disjoint across the codebook.
 
     Also checks each neighborhood's size equals the codeword's run count:
     deleting anywhere inside one run gives the same shortened word, so every
     run contributes exactly one neighbor.
     """
-    _guard_pairwise(codebook, step_cap)
+    _guard_pairwise(codebook)
     n = codebook.params.n
     seen: dict[tuple[int | None, ...], tuple[Word, int]] = {}
     checked = 0

@@ -46,6 +46,14 @@ class TestBounds:
         gap = redundancy_upper_bound(n) - redundancy_lower_bound(n)
         assert abs(gap - math.log2(3)) < 0.02
 
+    @pytest.mark.parametrize("n", [10**306, 10**400])
+    def test_lower_bound_past_the_float_range(self, n):
+        # (n - 1) * log2 n overflows a float from n ~ 1.8e305; the gap still
+        # tends to log2 3
+        lower = redundancy_lower_bound(n)
+        assert lower == pytest.approx(math.log2(n), abs=1e-12)
+        assert redundancy_upper_bound(n) - lower == pytest.approx(math.log2(3), abs=1e-9)
+
     def test_gap_monotone_on_geometric_grid(self):
         ns = [10**k for k in range(3, 10)]
         gaps = [redundancy_upper_bound(n) - redundancy_lower_bound(n) for n in ns]

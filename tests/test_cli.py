@@ -3,11 +3,16 @@
 import gc
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import ordel
 from ordel.cli import run
 from ordel.vt_code import class_sizes
 
@@ -146,6 +151,19 @@ class TestVerify:
         assert len(lines) == 3 * 3 * 5
         assert all("PASS" in line for line in lines)
 
+    def test_all_params_refused_before_listing_classes(self, capsys):
+        status, out, err = invoke(capsys, "verify", "--n", str(10**12), "--all-params")
+        assert (status, out) == (1, "")
+        assert "cap" in err
+
+    def test_pairwise_cap_from_n17(self, capsys):
+        # enumeration allows n <= 28, but the pairwise sweeps refuse n = 17's
+        # best class, and --cap does not lift that
+        for argv in (["--n", "17"], ["--n", "17", "--cap", "30"]):
+            status, out, err = invoke(capsys, "verify", *argv)
+            assert (status, out) == (1, "")
+            assert "pairwise sweep" in err
+
 
 class TestBounds:
     def test_n_list_row(self, capsys):
@@ -163,6 +181,14 @@ class TestBounds:
         assert status == 0
         ns = [line.split(",")[0] for line in out.strip().splitlines()[1:]]
         assert ns == ["1000", "10000", "100000", "1000000"]
+
+    def test_rows_past_the_float_range(self, capsys):
+        status, out, _ = invoke(capsys, "bounds", "--n-list", f"{10**306},{10**400}")
+        assert status == 0
+        assert out.splitlines()[1:] == [
+            f"{10**306},1018.094960,1016.509997,1.584963",
+            f"{10**400},1330.356200,1328.771238,1.584963",
+        ]
 
     def test_exactly_one_selector(self, capsys):
         assert invoke(capsys, "bounds")[0] == 1
@@ -210,6 +236,13 @@ class TestSimulate:
             f"error: class (n={n}, a1={a1}, a2={a2}) is empty: no word has both residues\n"
         )
 
+    @pytest.mark.parametrize("n", [2**31 - 1, 10**21])
+    @pytest.mark.parametrize("cls", [[], ["--a1", "0", "--a2", "0"]])
+    def test_n_past_the_int32_limit_is_a_usage_error(self, capsys, n, cls):
+        status, out, err = invoke(capsys, "simulate", "--n", str(n), "--trials", "1", "--seed", "1", *cls)
+        assert (status, out) == (1, "")
+        assert "int32 limit" in err
+
     def test_partial_class_rejected(self, capsys):
         status, _, _ = invoke(
             capsys, "simulate", "--n", "8", "--trials", "5", "--seed", "2", "--a1", "0"
@@ -256,6 +289,19 @@ class TestExhaustiveOutputPinned:
         lines = invoke(capsys, "codebook", "--n", "12", "--best")[1].splitlines()
         assert lines[:3] == ["n=12 a1=0 a2=0", "000000000000", "000000101100"]
         assert lines[-1] == "111111111111"
+
+
+def test_cli_import_binds_every_submodule():
+    # bench/run.py imports ordel.cli alone and then reads the other modules
+    # as attributes of the package, whose root exports nothing
+    names = ["analysis", "channel", "cli", "core", "decoder", "montecarlo", "oracle", "vt_code"]
+    code = (
+        "import importlib, inspect, ordel; importlib.import_module('ordel.cli'); "
+        f"print([n for n in {names!r} if not inspect.ismodule(getattr(ordel, n, None))])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ordel.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -130,6 +130,17 @@ def test_rejects_bad_arguments():
         run_trials(10, 0, seed=1)
 
 
+@pytest.mark.parametrize("n", [2**31 - 1, 10**21])
+@pytest.mark.parametrize("cls", [(None, None), (0, 0)])
+def test_refuses_n_past_the_int32_limit_before_any_work(monkeypatch, n, cls):
+    # refused before the completion table and the first draw, which at
+    # these lengths would allocate gigabytes or overflow getrandbits
+    monkeypatch.setattr(montecarlo, "_completions", None)
+    monkeypatch.setattr(montecarlo, "_draw_codewords", None)
+    with pytest.raises(ValueError, match="int32 limit"):
+        run_trials(n, 1, 1, *cls)
+
+
 def test_rejected_trial_counted_and_described(monkeypatch):
     # the kernel rejects trial 3; the scalar decode, run again on that trial
     # for the report, recovers the word

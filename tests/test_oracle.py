@@ -156,9 +156,10 @@ class TestVerifyCode:
         assert report.passed
 
     def test_step_cap_refusal(self):
-        codebook = enumerate_codebook(best_params(8))
+        # 2427 words at n = 17: 2427^2 * 17^2 ~ 1.7e9 steps, past the fixed cap
+        codebook = enumerate_codebook(best_params(17))
         with pytest.raises(ValueError, match="cap"):
-            verify_code(codebook, step_cap=10)
+            verify_code(codebook)
 
     @pytest.mark.parametrize("sweep", [verify_code, verify_decoder, deletion_balls_disjoint])
     def test_rejects_words_of_another_length(self, sweep):
