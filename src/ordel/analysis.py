@@ -88,10 +88,8 @@ def run_threshold(n: int) -> float:
 
 def run_stats(n: int, cap: int | None = None) -> RunStats:
     """Exact run-count tallies over all 2^n words (capped like the exhaustive scans)."""
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    threshold = run_threshold(n)  # refuses n < 3 before the cap check
     _check_cap(n, cap)
-    threshold = run_threshold(n)
     words = 1 << n
     # one run per word, plus one per differing adjacent pair; each of the
     # n - 1 pairs differs in half the words

@@ -86,20 +86,12 @@ def patterns_at(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return n - j, n - (q - j * (j + 1) // 2)
 
 
-def random_pattern(n: int, seed: int) -> CorruptionPattern:
-    """A uniformly random valid pattern, deterministic for a given seed.
-
-    Uses Python's Mersenne Twister (`random.Random`) and rejection sampling:
-    draw (d, e) uniformly on the full square and retry until d <= e, which
-    leaves the accepted pair uniform over the n(n+1)/2 valid patterns.
-    """
-    if n < 3:
-        raise ValueError(f"word length must be >= 3, got {n}")
-    return draw_pattern(random.Random(seed), n)
-
-
 def draw_pattern(rng: random.Random, n: int) -> CorruptionPattern:
-    """Draw one uniform pattern from an existing generator (see random_pattern)."""
+    """Draw one uniform pattern from an existing generator.
+
+    Rejection sampling: draw (d, e) uniformly on the full square and retry
+    until d <= e, leaving the pair uniform over the n(n+1)/2 valid patterns.
+    """
     while True:
         d = rng.randint(1, n)
         e = rng.randint(1, n)

@@ -103,12 +103,14 @@ def decode_cmd(
 @click.option("--cap", type=int, default=None, help="Override the enumeration cap (default 28).")
 def verify_cmd(n: int, all_params: bool, cap: int | None) -> None:
     """Run the brute-force checks (code capability, decoder, deletion balls)."""
+    sizes = vt_code.class_sizes(n, cap)
     if all_params:
         param_list = (CodeParams(n, a1, a2) for a1 in range(3) for a2 in range(n + 1))
     else:
         param_list = [vt_code.best_params(n, cap)]
     failed = False
     for params in param_list:
+        oracle.check_pairwise(n, sizes[params.a1, params.a2])
         codebook = vt_code.enumerate_codebook(params, cap)
         for report in (
             oracle.verify_code(codebook),

@@ -1,12 +1,13 @@
 """Brute-force verification, kept independent of the decoder.
 
 ``brute_force_decode`` expands y into its at most 4e candidate preimages and
-keeps the codewords that re-corrupt to y: O(n^2) work plus one codebook pass.
-``verify_code`` and ``deletion_balls_disjoint`` apply the corruption map to
-every codeword under every pattern.  Nothing imported from ``decoder`` feeds
-these three and none touches checksums, so agreement between this module and
-the decoder is genuine evidence.  Pairwise sweeps are guarded by a step cap
-because their cost grows like (#codebook)^2 * n^2.
+keeps those among the codebook's rows that re-corrupt to y: O(n^2) work plus
+one pass over the rows.  ``verify_code`` and ``deletion_balls_disjoint`` apply
+the corruption map to every codeword under every pattern.  Nothing imported
+from ``decoder`` feeds these three and none touches checksums, so agreement
+between this module and the decoder is genuine evidence.  Pairwise sweeps cost
+about (#codebook)^2 * n^2 steps; ``check_pairwise`` refuses more than a cap
+from the class size alone, so a caller can refuse before listing the class.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import run_count
-from .channel import CorruptionPattern, all_patterns, corrupt, corrupt_batch, corrupt_symbols
+from .channel import CorruptionPattern, all_patterns, corrupt, corrupt_batch, corrupt_symbols, patterns_at
 from .core import ReceivedWord, Word
 from .decoder import BATCH_BITS, Recovered, decode, decode_batch
 from .vt_code import Codebook
@@ -55,11 +56,9 @@ class VerificationReport:
         return f"PASS checked={self.checked}"
 
 
-def _guard_pairwise(codebook: Codebook) -> None:
-    n = codebook.params.n
-    if any(x.n != n for x in codebook.words):
-        raise ValueError(f"every codeword must have the code length {n}")
-    steps = len(codebook.words) ** 2 * n**2
+def check_pairwise(n: int, size: int) -> None:
+    """Refuse a pairwise sweep over ``size`` codewords of length n past the step cap."""
+    steps = size**2 * n**2
     if steps > PAIRWISE_STEP_CAP:
         raise ValueError(f"pairwise sweep needs ~{steps} steps, above the cap {PAIRWISE_STEP_CAP}")
 
@@ -68,22 +67,21 @@ def brute_force_decode(y: ReceivedWord, codebook: Codebook) -> PreimageSet:
     """Every (codeword, pattern) pair that corrupts to y.
 
     Each candidate z inserts a 0 or a 1 before y_d for some d <= e, with the
-    erased slot (if any) filled by a 0 or a 1; z is kept when it is a codeword
-    that re-corrupts to y.  Only patterns whose erasure parameter matches y are
-    tried: the erasure position is visible to a receiver, the deletion position
-    is not.
+    erased slot (if any) filled by a 0 or a 1; z is kept when its bytes are a
+    codebook row (each row hashed as one n-byte record) and it re-corrupts to
+    y.  Only patterns whose erasure parameter matches y are tried: the erasure
+    position is visible to a receiver, the deletion position is not.
     """
     e, symbols = y.effective_erasure, y.symbols
-    members = {x.bits: x for x in codebook.words}
+    members = set(np.ascontiguousarray(codebook.bits).view(f"V{codebook.params.n}").ravel().tolist())
     fills = [symbols] if e == y.n else [symbols[: e - 1] + (b,) + symbols[e:] for b in (0, 1)]
     pairs = set()
     for d in range(1, e + 1):
         for filled in fills:
             for bit in (0, 1):
                 z = filled[: d - 1] + (bit,) + filled[d - 1 :]
-                x = members.get(z)
-                if x is not None and corrupt_symbols(z, d, e) == symbols:
-                    pairs.add((x, CorruptionPattern(d, e)))
+                if bytes(z) in members and corrupt_symbols(z, d, e) == symbols:
+                    pairs.add((Word(z), CorruptionPattern(d, e)))
     return PreimageSet(y, frozenset(pairs))
 
 
@@ -93,12 +91,13 @@ def verify_code(codebook: Codebook) -> VerificationReport:
     Scans patterns in (d, e) order and codewords in codebook order, so the
     reported violation is deterministic.
     """
-    _guard_pairwise(codebook)
     n = codebook.params.n
+    check_pairwise(n, len(codebook))
+    words = codebook.words
     checked = 0
     for pattern in all_patterns(n):
         seen: dict[tuple[int | None, ...], Word] = {}
-        for x in codebook.words:
+        for x in words:
             symbols = corrupt_symbols(x.bits, pattern.d, pattern.e)
             checked += 1
             other = seen.get(symbols)
@@ -119,13 +118,12 @@ def verify_decoder(codebook: Codebook) -> VerificationReport:
     through ``corrupt_batch`` and ``decode_batch``; the first failing row is
     decoded again by the scalar ``decode`` for the report.
     """
-    _guard_pairwise(codebook)
     params = codebook.params
     n = params.n
+    check_pairwise(n, len(codebook))
     patterns = all_patterns(n)
-    d = np.array([p.d for p in patterns])
-    e = np.array([p.e for p in patterns])
-    words = np.array([x.bits for x in codebook.words], np.uint8).reshape(-1, n)
+    d, e = patterns_at(np.arange(len(patterns)), n)
+    words = codebook.bits
     total = len(words) * len(patterns)
     step = max(1, BATCH_BITS // n)
     for start in range(0, total, step):
@@ -137,7 +135,7 @@ def verify_decoder(codebook: Codebook) -> VerificationReport:
         bad = np.flatnonzero((status < 1) | (decoded != x).any(axis=1))
         if bad.size:
             row = start + int(bad[0])
-            x, pattern = codebook.words[row // len(patterns)], patterns[row % len(patterns)]
+            x, pattern = Word(tuple(x[bad[0]].tolist())), patterns[row % len(patterns)]
             outcome = decode(corrupt(x, pattern), params)
             got = (
                 outcome.word.render()
@@ -159,8 +157,8 @@ def deletion_balls_disjoint(codebook: Codebook) -> VerificationReport:
     deleting anywhere inside one run gives the same shortened word, so every
     run contributes exactly one neighbor.
     """
-    _guard_pairwise(codebook)
     n = codebook.params.n
+    check_pairwise(n, len(codebook))
     seen: dict[tuple[int | None, ...], tuple[Word, int]] = {}
     checked = 0
     for x in codebook.words:

@@ -10,7 +10,7 @@ least 2^n / (3(n+1)) members; ``best_params`` picks the largest one.
 Class sizes come from an exact count over positions, O(n^2) work.  Listing
 a class is exponential: it tabulates the residues of the last positions once
 and scans that table for each prefix of the first positions, in bounded
-chunks; words come out in lexicographic bit order (x_1 most significant).
+chunks, into uint8 rows of n bytes in lexicographic order (x_1 most significant).
 """
 
 from __future__ import annotations
@@ -26,15 +26,24 @@ DEFAULT_ENUM_CAP = 28
 _CHUNK_BITS = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
-    """All member words of one parameter class, lexicographically sorted."""
+    """All members of one parameter class, sorted: one 0/1 uint8 row per word."""
 
     params: CodeParams
-    words: tuple[Word, ...]
+    bits: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.bits.ndim != 2 or self.bits.shape[1] != self.params.n:
+            raise ValueError(f"every codeword must have the code length {self.params.n}")
+
+    @property
+    def words(self) -> tuple[Word, ...]:
+        """The rows as ``Word`` values, built anew on each access."""
+        return tuple(map(Word, map(tuple, self.bits.tolist())))
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.bits)
 
 
 def is_member(word: Word, params: CodeParams) -> bool:
@@ -100,16 +109,17 @@ def enumerate_codebook(params: CodeParams, cap: int | None = None) -> Codebook:
     low = min(n, _CHUNK_BITS)
     high = n - low
     key = subset_keys(range(n, high, -1), m)
+    prefix_key = subset_keys(range(high, 0, -1), m)
+    target = (params.a1 - prefix_key // m) % 3 * m + (params.a2 - prefix_key % m) % m
     shifts = np.arange(low - 1, -1, -1)
-    members: list[Word] = []
-    for p in range(1 << high):
-        prefix = tuple((p >> (high - i)) & 1 for i in range(1, high + 1))
-        weighted = sum(i * b for i, b in enumerate(prefix, start=1))
-        target = (params.a1 - sum(prefix)) % 3 * m + (params.a2 - weighted) % m
-        hits = np.flatnonzero(key == target)
-        rows = ((hits[:, None] >> shifts) & 1).tolist()
-        members.extend(Word(prefix + tuple(r)) for r in rows)
-    return Codebook(params, tuple(members))
+    blocks = []
+    for p, t in enumerate(target.tolist()):
+        hits = np.flatnonzero(key == t)
+        block = np.empty((len(hits), n), np.uint8)
+        block[:, :high] = [(p >> (high - i)) & 1 for i in range(1, high + 1)]
+        block[:, high:] = (hits[:, None] >> shifts) & 1
+        blocks.append(block)
+    return Codebook(params, np.concatenate(blocks))
 
 
 def best_params(n: int, cap: int | None = None) -> CodeParams:
@@ -124,7 +134,7 @@ def best_params(n: int, cap: int | None = None) -> CodeParams:
 
 def redundancy(codebook: Codebook) -> float:
     """Overhead in bits relative to unrestricted n-bit words: n - log2(#codebook)."""
-    size = len(codebook.words)
+    size = len(codebook)
     if size == 0:
         raise ValueError("redundancy undefined for an empty codebook")
     return codebook.params.n - math.log2(size)
@@ -133,6 +143,6 @@ def redundancy(codebook: Codebook) -> float:
 def render_codebook(codebook: Codebook) -> str:
     """Text form: one header line `n=<n> a1=<a1> a2=<a2>`, then one word per line."""
     p = codebook.params
-    lines = [f"n={p.n} a1={p.a1} a2={p.a2}"]
-    lines.extend(w.render() for w in codebook.words)
-    return "\n".join(lines)
+    rows = np.full((len(codebook), p.n + 1), ord("\n"), np.uint8)
+    rows[:, :-1] = codebook.bits + ord("0")
+    return f"n={p.n} a1={p.a1} a2={p.a2}\n{rows.tobytes().decode()}"[:-1]

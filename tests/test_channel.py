@@ -16,7 +16,6 @@ from ordel.channel import (
     corrupt_symbols,
     draw_pattern,
     patterns_at,
-    random_pattern,
 )
 from ordel.core import Word, parse_word
 
@@ -143,9 +142,11 @@ class TestPatternsAt:
 
 class TestRandomPattern:
     def test_deterministic_per_seed(self):
-        assert random_pattern(10, 42) == random_pattern(10, 42)
+        assert draw_pattern(random.Random(42), 10) == draw_pattern(random.Random(42), 10)
         seeds = range(200)
-        assert [random_pattern(17, s) for s in seeds] == [random_pattern(17, s) for s in seeds]
+        assert [draw_pattern(random.Random(s), 17) for s in seeds] == [
+            draw_pattern(random.Random(s), 17) for s in seeds
+        ]
 
     def test_always_valid(self):
         rng = random.Random(7)

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import ordel
+from ordel import vt_code
 from ordel.cli import run
 from ordel.vt_code import class_sizes
 
@@ -164,6 +165,17 @@ class TestVerify:
             assert (status, out) == (1, "")
             assert "pairwise sweep" in err
 
+    @pytest.mark.parametrize("argv", [["--n", "25"], ["--n", "28"], ["--n", "17", "--all-params"]])
+    def test_pairwise_cap_before_listing(self, capsys, monkeypatch, argv):
+        # the refusal needs only the class size from class_sizes, so no class is listed
+        def no_listing(*args):
+            raise AssertionError("enumerate_codebook called")
+
+        monkeypatch.setattr(vt_code, "enumerate_codebook", no_listing)
+        status, out, err = invoke(capsys, "verify", *argv)
+        assert (status, out) == (1, "")
+        assert "pairwise sweep" in err
+
 
 class TestBounds:
     def test_n_list_row(self, capsys):
@@ -282,6 +294,20 @@ class TestExhaustiveOutputPinned:
     )
     def test_n12(self, capsys, argv, size, digest):
         status, out, err = invoke(capsys, argv[0], "--n", "12", *argv[1:])
+        assert (status, err) == (0, "")
+        assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == (size, digest)
+
+    @pytest.mark.parametrize(
+        "n, size, digest",
+        [
+            (20, 349686, "943c426a61f2018939cf80f046657143116731b4e44cce8e3ca3d0b04729c68f"),
+            # n = 22 lists its class over four prefixes of the first two positions
+            (22, 1398139, "65b52049938c2b411f7f5ff2755740bcae71a150d9ca86d3b4c18f59483c0011"),
+        ],
+        ids=["n20", "n22"],
+    )
+    def test_best_codebook(self, capsys, n, size, digest):
+        status, out, err = invoke(capsys, "codebook", "--n", str(n), "--best")
         assert (status, err) == (0, "")
         assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == (size, digest)
 

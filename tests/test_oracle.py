@@ -3,13 +3,14 @@
 from collections import defaultdict
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ordel import oracle
 from ordel.channel import CorruptionPattern, all_patterns, corrupt
-from ordel.core import CodeParams, ReceivedWord, Word, parse_received, parse_word
+from ordel.core import CodeParams, ReceivedWord, parse_received, parse_word
 from ordel.decoder import Recovered, decode
 from ordel.oracle import (
     PreimageSet,
@@ -19,6 +20,11 @@ from ordel.oracle import (
     verify_decoder,
 )
 from ordel.vt_code import Codebook, best_params, enumerate_codebook
+
+
+def rows(*texts: str) -> np.ndarray:
+    """Words given as '0'/'1' strings, as the uint8 rows a ``Codebook`` holds."""
+    return np.array([[int(c) for c in t] for t in texts], np.uint8)
 
 
 def loop_decode(y: ReceivedWord, codebook: Codebook) -> PreimageSet:
@@ -103,19 +109,18 @@ class TestBruteForceDecode:
 
     def test_unsorted_codebook(self):
         sorted_book = enumerate_codebook(best_params(7))
-        shuffled = Codebook(sorted_book.params, sorted_book.words[3:][::-1] + sorted_book.words[:3])
+        bits = sorted_book.bits
+        shuffled = Codebook(sorted_book.params, np.concatenate((bits[3:][::-1], bits[:3])))
         assert sorted(shuffled.words, key=lambda w: w.bits) == list(sorted_book.words)
         for y, expected in all_preimage_sets(sorted_book).items():
             assert brute_force_decode(y, shuffled) == expected == loop_decode(y, shuffled)
 
-    def test_mixed_word_lengths(self):
-        words = enumerate_codebook(best_params(5)).words + enumerate_codebook(best_params(6)).words
-        codebook = Codebook(best_params(5), words)
-        ys = {corrupt(x, p) for x in words for p in all_patterns(x.n)}
-        assert {y.n for y in ys} == {5, 6}
-        for y in ys:
-            pre = brute_force_decode(y, codebook)
-            assert pre.candidates and pre == loop_decode(y, codebook)
+    def test_rows_in_column_major_layout(self):
+        # the same rows stored column by column: no row is one contiguous record
+        codebook = enumerate_codebook(best_params(7))
+        columns = Codebook(codebook.params, np.asfortranarray(codebook.bits))
+        for y, expected in all_preimage_sets(codebook).items():
+            assert brute_force_decode(y, columns) == expected
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_contains_the_true_preimage(self, n):
@@ -137,8 +142,8 @@ class TestVerifyCode:
 
     def test_full_cube_fails(self):
         # all of {0,1}^3 cannot survive even a single deletion
-        words = tuple(Word(bits) for bits in product((0, 1), repeat=3))
-        report = verify_code(Codebook(CodeParams(3, 0, 0), words))
+        cube = np.array(list(product((0, 1), repeat=3)), np.uint8)
+        report = verify_code(Codebook(CodeParams(3, 0, 0), cube))
         assert not report.passed
         assert report.checked == 3
         assert report.render() == "FAIL x1=000 x2=010 d=1 e=1"
@@ -163,9 +168,8 @@ class TestVerifyCode:
 
     @pytest.mark.parametrize("sweep", [verify_code, verify_decoder, deletion_balls_disjoint])
     def test_rejects_words_of_another_length(self, sweep):
-        words = (parse_word("0110"), parse_word("10010"))
         with pytest.raises(ValueError, match="code length 4"):
-            sweep(Codebook(CodeParams(4, 2, 0), words))
+            sweep(Codebook(CodeParams(4, 2, 0), rows("10010")))
 
 
 class TestVerifyDecoder:
@@ -176,8 +180,7 @@ class TestVerifyDecoder:
 
     def test_reports_wrong_recovery(self):
         # a deliberately bad "codebook": two words colliding after deletion
-        words = (parse_word("0001"), parse_word("1000"))
-        report = verify_decoder(Codebook(CodeParams(4, 0, 0), words))
+        report = verify_decoder(Codebook(CodeParams(4, 0, 0), rows("0001", "1000")))
         assert not report.passed
         assert report.checked == 1
         assert report.render() == "FAIL x1=0001 x2=no-synchronization d=1 e=1"
@@ -219,8 +222,7 @@ class TestDeletionBalls:
 
     def test_overlapping_balls_detected(self):
         # deleting d=4 from 0001 and d=1 from 1000 both give 000
-        words = (parse_word("0001"), parse_word("1000"))
-        report = deletion_balls_disjoint(Codebook(CodeParams(4, 0, 0), words))
+        report = deletion_balls_disjoint(Codebook(CodeParams(4, 0, 0), rows("0001", "1000")))
         assert not report.passed
         assert report.checked == 8
         assert report.render() == "FAIL x1=0001 x2=1000 d=4 e=4"

@@ -1,12 +1,15 @@
 """Membership, enumeration, parameter selection, and redundancy."""
 
 import math
+import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 
 from ordel.core import CodeParams, Word, parse_word
 from ordel.vt_code import (
+    Codebook,
     best_params,
     class_sizes,
     enumerate_codebook,
@@ -122,6 +125,33 @@ class TestClassSizes:
         assert sum(map(sum, sizes)) == 2**200
 
 
+class TestCodebookMatrix:
+    @pytest.mark.parametrize("shape", [(4,), (2, 5)], ids=["1-d", "width-5"])
+    def test_refuses_rows_of_another_shape(self, shape):
+        with pytest.raises(ValueError, match="code length 4"):
+            Codebook(CodeParams(4, 2, 0), np.zeros(shape, np.uint8))
+
+    @pytest.mark.parametrize("n", [3, 10, 21])
+    def test_words_round_trip_bits(self, n):
+        cb = enumerate_codebook(best_params(n))
+        assert cb.bits.dtype == np.uint8 and cb.bits.shape == (len(cb), n)
+        assert np.array_equal(np.array([w.bits for w in cb.words], np.uint8), cb.bits)
+
+    def test_enumeration_peak_memory(self):
+        # 60,788 words at n = 22 take 1.3 MB as rows; the peak, about 16 MB,
+        # is the residue table of the last 20 positions.  Holding the words
+        # as Word values peaked at 26 MB.
+        params = best_params(22)
+        tracemalloc.start()
+        try:
+            codebook = enumerate_codebook(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(codebook) == 60788
+        assert peak < 20 * 2**20
+
+
 class TestEnumerateByPrefix:
     """n = 21 and 22 are the only sizes under the cap that scan several prefixes."""
 
@@ -164,7 +194,7 @@ class TestRedundancy:
         p = CodeParams(3, 0, 0)
         one = enumerate_codebook(p)
         assert redundancy(one) == 3.0
-        two = type(one)(p, (parse_word("000"), parse_word("100")))
+        two = Codebook(p, np.array([[0, 0, 0], [1, 0, 0]], np.uint8))
         assert redundancy(two) == 2.0
 
     def test_empty_codebook_rejected(self):
