@@ -21,8 +21,8 @@ nothing was erased).  Recovery works in two steps:
 
 Consecutive checksums differ only by the guessed bit and one received
 symbol, so each pass costs O(n) integer ops (``checksum_step``).  Checksums
-peak near n^2 and are reduced only at comparison time; exact machine
-integers therefore suffice up to n around 3 * 10^9.
+peak near n^2 and are reduced only at comparison time; they are exact Python
+ints, so the scalar ``decode`` has no length limit of its own.
 
 ``decode_batch`` runs the same two steps on a batch of received words held
 as a numpy array, with the scan as one prefix sum per row; the scalar
@@ -73,17 +73,22 @@ class DecodeFailure:
 # whatever n is, and keeps the numpy calls per row few
 BATCH_BITS = 1 << 15
 
+# the bit guesses each discrepancy leaves, in the order the passes try them;
+# with no erasure the deleted bit is the discrepancy, the first guess
+_GUESSES = {
+    0: (BitHypothesis(0, 0),),
+    1: (BitHypothesis(1, 0), BitHypothesis(0, 1)),
+    2: (BitHypothesis(1, 1),),
+}
+
 #: ``decode_batch`` statuses below 1 and the scalar failure reasons they stand for
 FAILURE_STATUS = {0: NO_SYNC, -1: INVALID_DISCREPANCY}
 
 
 def discrepancy(y: ReceivedWord, params: CodeParams) -> int:
     """(a1 - sum of non-erased symbols) mod 3; reveals the missing bits' sum."""
-    e = y.erasure_pos
-    if e is None:
-        total = sum(y.symbols)
-    else:
-        total = sum(y.symbols[: e - 1]) + sum(y.symbols[e:])
+    e = y.effective_erasure
+    total = sum(y.symbols[: e - 1]) + sum(y.symbols[e:])
     return (params.a1 - total) % 3
 
 
@@ -100,23 +105,15 @@ def hypothesis_checksum(y: ReceivedWord, k: int, hyp: BitHypothesis, params: Cod
     e = y.effective_erasure
     if not 1 <= k <= e:
         raise ValueError(f"insertion index {k} outside 1..{e}")
-    return _checksum(y, k, hyp.deleted, hyp.erased)
-
-
-def _checksum(y: ReceivedWord, k: int, deleted: int, erased: int) -> int:
-    """``hypothesis_checksum`` for a valid k and plain hypothesis bits."""
-    e = y.effective_erasure
     n = y.n
     sym = y.symbols
     # symbols before the insertion point keep weight i, later ones weigh i+1;
-    # slicing around the erased slot keeps None out of the products
-    total = k * deleted + (e + 1) * erased
+    # slicing around the erased slot keeps None out of the products (for
+    # e = n the slice past it is empty)
+    total = k * hyp.deleted + (e + 1) * hyp.erased
     total += sum(map(mul, range(1, k), sym[: k - 1]))
-    if e == n:
-        total += sum(map(mul, range(k + 1, n + 1), sym[k - 1 :]))
-    else:
-        total += sum(map(mul, range(k + 1, e + 1), sym[k - 1 : e - 1]))
-        total += sum(map(mul, range(e + 2, n + 1), sym[e:]))
+    total += sum(map(mul, range(k + 1, e + 1), sym[k - 1 : e - 1]))
+    total += sum(map(mul, range(e + 2, n + 1), sym[e:]))
     return total
 
 
@@ -131,30 +128,13 @@ def checksum_step(fk: int, k: int, y_k: int | None, hyp: BitHypothesis) -> int:
     return fk + hyp.deleted - y_k
 
 
-def _scan_sync(y: ReceivedWord, deleted: int, erased: int, params: CodeParams, e: int) -> int | None:
-    """Smallest k in 1..e whose checksum matches a2 mod n+1, or None."""
-    modulus = params.n + 1
-    target = params.a2
-    symbols = y.symbols
-    fk = _checksum(y, 1, deleted, erased)
-    k = 1
-    while True:
-        if fk % modulus == target:
-            return k
-        if k == e:
-            return None
-        s = symbols[k - 1]
-        fk += deleted if s is None else deleted - s
-        k += 1
-
-
-def _rebuild(y: ReceivedWord, k: int, deleted: int, erased: int) -> Word:
+def _rebuild(y: ReceivedWord, k: int, hyp: BitHypothesis) -> Word:
     """Insert the deleted-bit guess before y_k and fill the erasure."""
     s = y.symbols
     e = y.erasure_pos
     if e is None:
-        return Word(s[: k - 1] + (deleted,) + s[k - 1 :])
-    return Word(s[: k - 1] + (deleted,) + s[k - 1 : e - 1] + (erased,) + s[e:])
+        return Word(s[: k - 1] + (hyp.deleted,) + s[k - 1 :])
+    return Word(s[: k - 1] + (hyp.deleted,) + s[k - 1 : e - 1] + (hyp.erased,) + s[e:])
 
 
 def decode(y: ReceivedWord, params: CodeParams) -> Recovered | DecodeFailure:
@@ -171,21 +151,18 @@ def decode(y: ReceivedWord, params: CodeParams) -> Recovered | DecodeFailure:
         raise ValueError(f"received word implies n={y.n}, code has n={params.n}")
     e = y.effective_erasure
     disc = discrepancy(y, params)
-    # (deleted, erased) bit guesses, in the order the passes try them
-    if y.erasure_pos is None:
-        if disc == 2:
-            return DecodeFailure(INVALID_DISCREPANCY)
-        attempts = ((disc, 0),)
-    elif disc == 0:
-        attempts = ((0, 0),)
-    elif disc == 2:
-        attempts = ((1, 1),)
-    else:
-        attempts = ((1, 0), (0, 1))
-    for pass_no, (deleted, erased) in enumerate(attempts, start=1):
-        k = _scan_sync(y, deleted, erased, params, e)
-        if k is not None:
-            return Recovered(_rebuild(y, k, deleted, erased), k, pass_no)
+    if y.erasure_pos is None and disc == 2:
+        return DecodeFailure(INVALID_DISCREPANCY)
+    attempts = _GUESSES[disc] if y.erasure_pos is not None else _GUESSES[disc][:1]
+    modulus = params.n + 1
+    for pass_no, hyp in enumerate(attempts, start=1):
+        # the smallest k in 1..e whose checksum matches a2 mod n+1
+        fk, k = hypothesis_checksum(y, 1, hyp, params), 1
+        while fk % modulus != params.a2 and k < e:
+            fk = checksum_step(fk, k, y.symbols[k - 1], hyp)
+            k += 1
+        if fk % modulus == params.a2:
+            return Recovered(_rebuild(y, k, hyp), k, pass_no)
     return DecodeFailure(NO_SYNC)
 
 

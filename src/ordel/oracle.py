@@ -2,12 +2,14 @@
 
 ``brute_force_decode`` expands y into its at most 4e candidate preimages and
 keeps those among the codebook's rows that re-corrupt to y: O(n^2) work plus
-one pass over the rows.  ``verify_code`` and ``deletion_balls_disjoint`` apply
-the corruption map to every codeword under every pattern.  Nothing imported
-from ``decoder`` feeds these three and none touches checksums, so agreement
-between this module and the decoder is genuine evidence.  Pairwise sweeps cost
-about (#codebook)^2 * n^2 steps; ``check_pairwise`` refuses more than a cap
-from the class size alone, so a caller can refuse before listing the class.
+one pass over the rows.  ``verify_code`` checks what a receiver sees: for each
+e, no word that the patterns (d, e), d <= e, make of the codewords comes from
+two of them.  ``deletion_balls_disjoint`` checks the deletion-only words.
+Nothing imported from ``decoder`` feeds these three and none touches
+checksums, so agreement between this module and the decoder is genuine
+evidence.  The sweeps hash |C| * n(n+1)/2 corrupted words (``verify_code``,
+``verify_decoder``) or |C| * n (the deletion balls); only ``check_pairwise``
+charges |C|^2 * n^2 steps, refusing past a cap from |C| alone, before listing.
 """
 
 from __future__ import annotations
@@ -86,28 +88,29 @@ def brute_force_decode(y: ReceivedWord, codebook: Codebook) -> PreimageSet:
 
 
 def verify_code(codebook: Codebook) -> VerificationReport:
-    """Check that no two codewords collide under any one corruption pattern.
+    """Check that no received word can come from two different codewords.
 
-    Scans patterns in (d, e) order and codewords in codebook order, so the
-    reported violation is deterministic.
+    A receiver sees the erasure position e but not the deletion position d,
+    so for each e the words of every pattern (d, e) are pooled.  Scans e,
+    then d <= e, then codewords in codebook order, so the reported violation
+    is deterministic; its d is the one that x2 takes.
     """
     n = codebook.params.n
     check_pairwise(n, len(codebook))
     words = codebook.words
     checked = 0
-    for pattern in all_patterns(n):
+    for e in range(1, n + 1):
         seen: dict[tuple[int | None, ...], Word] = {}
-        for x in words:
-            symbols = corrupt_symbols(x.bits, pattern.d, pattern.e)
-            checked += 1
-            other = seen.get(symbols)
-            if other is not None:
-                return VerificationReport(
-                    "code-capability",
-                    checked,
-                    f"FAIL x1={other.render()} x2={x.render()} d={pattern.d} e={pattern.e}",
-                )
-            seen[symbols] = x
+        for d in range(1, e + 1):
+            for x in words:
+                checked += 1
+                other = seen.setdefault(corrupt_symbols(x.bits, d, e), x)
+                if other is not x:
+                    return VerificationReport(
+                        "code-capability",
+                        checked,
+                        f"FAIL x1={other.render()} x2={x.render()} d={d} e={e}",
+                    )
     return VerificationReport("code-capability", checked)
 
 

@@ -143,6 +143,9 @@ def redundancy(codebook: Codebook) -> float:
 def render_codebook(codebook: Codebook) -> str:
     """Text form: one header line `n=<n> a1=<a1> a2=<a2>`, then one word per line."""
     p = codebook.params
-    rows = np.full((len(codebook), p.n + 1), ord("\n"), np.uint8)
-    rows[:, :-1] = codebook.bits + ord("0")
-    return f"n={p.n} a1={p.a1} a2={p.a2}\n{rows.tobytes().decode()}"[:-1]
+    header = f"n={p.n} a1={p.a1} a2={p.a2}".encode()
+    # each row is a newline and n digits; the one buffer is decoded once
+    text = np.full(len(header) + len(codebook) * (p.n + 1), ord("\n"), np.uint8)
+    text[: len(header)] = np.frombuffer(header, np.uint8)
+    np.add(codebook.bits, ord("0"), out=text[len(header) :].reshape(-1, p.n + 1)[:, 1:])
+    return str(text.data, "ascii")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ordel import decoder
 from ordel.channel import CorruptionPattern, all_patterns, corrupt
 from ordel.core import CodeParams, ReceivedWord, Word, parse_received, parse_word
 from ordel.decoder import (
@@ -238,6 +239,36 @@ class TestDecode:
                 assert is_member(out.word, params)
             else:
                 assert out.reason in (NO_SYNC, INVALID_DISCREPANCY)
+
+    def test_scans_with_the_public_checksum(self, monkeypatch):
+        # each pass starts at hypothesis_checksum(k = 1) and steps with
+        # checksum_step up to its insertion index, so criterion 9's
+        # equivalence covers the scan that decodes
+        calls = []
+
+        def counting(name):
+            real = getattr(decoder, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+
+            return wrapper
+
+        for name in ("hypothesis_checksum", "checksum_step"):
+            monkeypatch.setattr(decoder, name, counting(name))
+        params = best_params(8)
+        passes = set()
+        for x in enumerate_codebook(params).words:
+            for pattern in all_patterns(8):
+                calls.clear()
+                out = decode(corrupt(x, pattern), params)
+                # a failed first pass stepped through all of k = 1..e
+                skipped = pattern.e - 1 if out.sync_pass == 2 else 0
+                assert calls.count("hypothesis_checksum") == out.sync_pass
+                assert calls.count("checksum_step") == skipped + out.insertion_index - 1
+                passes.add(out.sync_pass)
+        assert passes == {1, 2}
 
 
 class TestExhaustiveRoundTrip:

@@ -156,6 +156,16 @@ class TestVerifyCode:
         assert x1 != x2
         assert corrupt(x1, pattern) == corrupt(x2, pattern)
 
+    def test_collision_across_deletions_fails(self):
+        # 0011 under (d=3, e=3) and 0100 under (d=2, e=3) both give 00?; the
+        # receiver knows e but not d, so the two cannot be told apart
+        codebook = Codebook(CodeParams(4, 0, 0), rows("0011", "0100"))
+        report = verify_code(codebook)
+        assert (report.checked, report.render()) == (11, "FAIL x1=0100 x2=0011 d=3 e=3")
+        received = corrupt(parse_word("0011"), CorruptionPattern(3, 3))
+        assert received == corrupt(parse_word("0100"), CorruptionPattern(2, 3))
+        assert deletion_balls_disjoint(codebook).passed
+
     def test_singleton_passes(self):
         report = verify_code(enumerate_codebook(CodeParams(3, 0, 0)))
         assert report.passed

@@ -211,3 +211,18 @@ class TestRedundancy:
 def test_render_codebook_format():
     text = render_codebook(enumerate_codebook(CodeParams(4, 2, 0)))
     assert text == "n=4 a1=2 a2=0\n0110\n1001"
+    # an empty class (n = 3 has some) is its header line alone
+    assert render_codebook(Codebook(CodeParams(3, 0, 1), np.zeros((0, 3), np.uint8))) == "n=3 a1=0 a2=1"
+
+
+def test_render_codebook_peak_memory():
+    # the listing is one uint8 buffer decoded once, so at its peak render
+    # holds that buffer and the returned str: about twice the listing
+    codebook = enumerate_codebook(best_params(22))
+    tracemalloc.start()
+    try:
+        text = render_codebook(codebook)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * len(text)
