@@ -100,18 +100,17 @@ def decode_cmd(
 @cli.command("verify")
 @click.option("--n", type=int, required=True)
 @click.option("--all-params", is_flag=True, help="Sweep all 3(n+1) parameter classes.")
-@click.option("--cap", type=int, default=None, help="Override the enumeration cap (default 28).")
-def verify_cmd(n: int, all_params: bool, cap: int | None) -> None:
+def verify_cmd(n: int, all_params: bool) -> None:
     """Run the brute-force checks (code capability, decoder, deletion balls)."""
-    sizes = vt_code.class_sizes(n, cap)
+    sizes = vt_code.class_sizes(n)
     if all_params:
         param_list = (CodeParams(n, a1, a2) for a1 in range(3) for a2 in range(n + 1))
     else:
-        param_list = [vt_code.best_params(n, cap)]
+        param_list = [vt_code.best_params(n)]
     failed = False
     for params in param_list:
         oracle.check_pairwise(n, sizes[params.a1, params.a2])
-        codebook = vt_code.enumerate_codebook(params, cap)
+        codebook = vt_code.enumerate_codebook(params)
         for report in (
             oracle.verify_code(codebook),
             oracle.verify_decoder(codebook),

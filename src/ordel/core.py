@@ -45,10 +45,15 @@ class Word:
         return self.bits[i - 1]
 
     def render(self) -> str:
-        return bytes(self.bits).translate(_DIGITS).decode()
+        return render_bits(self.bits)
 
     def __str__(self) -> str:
         return self.render()
+
+
+def render_bits(bits) -> str:
+    """A sequence of 0/1 ints or a 0/1 uint8 row as its '0'/'1' string."""
+    return bytes(bits).translate(_DIGITS).decode()
 
 
 @dataclass(frozen=True)
@@ -128,8 +133,6 @@ def parse_word(text: str) -> Word:
     for ch in text:
         if ch not in "01":
             raise ValueError(f"invalid character {ch!r} in word {text!r}")
-    if len(text) < MIN_LENGTH:
-        raise ValueError(f"word length must be >= {MIN_LENGTH}, got {len(text)}")
     return Word(tuple(1 if ch == "1" else 0 for ch in text))
 
 

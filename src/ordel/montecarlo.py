@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CorruptionPattern, corrupt, corrupt_batch, patterns_at
-from .core import CodeParams, Word
-from .decoder import BATCH_BITS, Recovered, check_batch_length, decode, decode_batch, row_sums
+from .channel import corrupt_batch, patterns_at
+from .core import CodeParams, render_bits
+from .decoder import BATCH_BITS, FAILURE_STATUS, check_batch_length, decode_batch, row_sums
 from .vt_code import class_sizes, subset_keys
 
 
@@ -117,8 +117,8 @@ def run_trials(
     """Round-trip `trials` random corruptions at length n; count decode failures.
 
     Trials run in batches of BATCH_BITS // n words through ``corrupt_batch``
-    and ``decode_batch``; the first failing trial, if any, is decoded again by
-    the scalar ``decode`` to describe it.
+    and ``decode_batch``; the first failing trial, if any, is described by
+    what the kernel returned for it: the decoded word, or its failure reason.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
@@ -148,12 +148,8 @@ def run_trials(
         failures += bad.size
         if bad.size and first_failure is None:
             i = bad[0]
-            word, pattern = Word(tuple(words[i].tolist())), CorruptionPattern(int(d[i]), int(e[i]))
-            params = CodeParams(n, int(s1[i]), int(s2[i]))
-            outcome = decode(corrupt(word, pattern), params)
-            got = outcome.word.render() if isinstance(outcome, Recovered) else outcome.reason
+            got = render_bits(decoded[i]) if status[i] > 0 else FAILURE_STATUS[status[i]]
             first_failure = (
-                f"x={word.render()} d={pattern.d} e={pattern.e} "
-                f"a1={params.a1} a2={params.a2} got={got}"
+                f"x={render_bits(words[i])} d={d[i]} e={e[i]} a1={s1[i]} a2={s2[i]} got={got}"
             )
     return TrialReport(n, trials, seed, mode, failures, first_failure)

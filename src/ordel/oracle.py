@@ -5,11 +5,12 @@ keeps those among the codebook's rows that re-corrupt to y: O(n^2) work plus
 one pass over the rows.  ``verify_code`` checks what a receiver sees: for each
 e, no word that the patterns (d, e), d <= e, make of the codewords comes from
 two of them.  ``deletion_balls_disjoint`` checks the deletion-only words.
-Nothing imported from ``decoder`` feeds these three and none touches
-checksums, so agreement between this module and the decoder is genuine
-evidence.  The sweeps hash |C| * n(n+1)/2 corrupted words (``verify_code``,
-``verify_decoder``) or |C| * n (the deletion balls); only ``check_pairwise``
-charges |C|^2 * n^2 steps, refusing past a cap from |C| alone, before listing.
+Nothing from ``decoder`` feeds these three and none touches checksums, so
+agreement with the decoder is genuine evidence.  The sweeps corrupt the rows
+of ``Codebook.bits`` with ``corrupt_batch``, |C| * n(n+1)/2 of them (|C| * n
+for the deletion balls); two hash each as one (n-1)-byte record, and
+``verify_decoder`` reports a failing row from what ``decode_batch`` returned.
+Only ``check_pairwise`` charges |C|^2 * n^2 steps, refusing from |C| alone.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import run_count
-from .channel import CorruptionPattern, all_patterns, corrupt, corrupt_batch, corrupt_symbols, patterns_at
-from .core import ReceivedWord, Word
-from .decoder import BATCH_BITS, Recovered, decode, decode_batch
+from .channel import CorruptionPattern, corrupt_batch, corrupt_symbols, patterns_at
+from .core import ReceivedWord, Word, render_bits
+from .decoder import BATCH_BITS, FAILURE_STATUS, decode_batch
 from .vt_code import Codebook
 
 PAIRWISE_STEP_CAP = 10**9
@@ -65,6 +66,13 @@ def check_pairwise(n: int, size: int) -> None:
         raise ValueError(f"pairwise sweep needs ~{steps} steps, above the cap {PAIRWISE_STEP_CAP}")
 
 
+def _received(codebook: Codebook, d: int, e: int) -> list[bytes]:
+    """Every codeword corrupted by (d, e), each as one (n-1)-byte record; an erasure holds 0."""
+    size, n = codebook.bits.shape
+    rows = corrupt_batch(codebook.bits, np.full(size, d), np.full(size, e))
+    return rows.view(f"V{n - 1}").ravel().tolist()
+
+
 def brute_force_decode(y: ReceivedWord, codebook: Codebook) -> PreimageSet:
     """Every (codeword, pattern) pair that corrupts to y.
 
@@ -97,19 +105,18 @@ def verify_code(codebook: Codebook) -> VerificationReport:
     """
     n = codebook.params.n
     check_pairwise(n, len(codebook))
-    words = codebook.words
     checked = 0
     for e in range(1, n + 1):
-        seen: dict[tuple[int | None, ...], Word] = {}
+        # the pool's erasures all sit at e: a stored 0 collides as the marker would
+        seen: dict[bytes, int] = {}
         for d in range(1, e + 1):
-            for x in words:
+            for i, received in enumerate(_received(codebook, d, e)):
                 checked += 1
-                other = seen.setdefault(corrupt_symbols(x.bits, d, e), x)
-                if other is not x:
+                other = seen.setdefault(received, i)
+                if other != i:
+                    x1, x2 = render_bits(codebook.bits[other]), render_bits(codebook.bits[i])
                     return VerificationReport(
-                        "code-capability",
-                        checked,
-                        f"FAIL x1={other.render()} x2={x.render()} d={d} e={e}",
+                        "code-capability", checked, f"FAIL x1={x1} x2={x2} d={d} e={e}"
                     )
     return VerificationReport("code-capability", checked)
 
@@ -119,36 +126,27 @@ def verify_decoder(codebook: Codebook) -> VerificationReport:
 
     Rows run in codebook x ``all_patterns`` order, BATCH_BITS // n at a time,
     through ``corrupt_batch`` and ``decode_batch``; the first failing row is
-    decoded again by the scalar ``decode`` for the report.
+    reported with what the kernel returned for it: the decoded word, or the
+    failure reason its status stands for.
     """
     params = codebook.params
     n = params.n
     check_pairwise(n, len(codebook))
-    patterns = all_patterns(n)
-    d, e = patterns_at(np.arange(len(patterns)), n)
-    words = codebook.bits
-    total = len(words) * len(patterns)
+    d, e = patterns_at(np.arange(n * (n + 1) // 2), n)
+    total = len(codebook) * len(d)
     step = max(1, BATCH_BITS // n)
     for start in range(0, total, step):
-        word_of, pattern_of = np.divmod(np.arange(start, min(start + step, total)), len(patterns))
-        x = words[word_of]
-        decoded, _, status = decode_batch(
-            corrupt_batch(x, d[pattern_of], e[pattern_of]), e[pattern_of], params.a1, params.a2
-        )
+        word_of, pattern_of = np.divmod(np.arange(start, min(start + step, total)), len(d))
+        x, x_d, x_e = codebook.bits[word_of], d[pattern_of], e[pattern_of]
+        decoded, _, status = decode_batch(corrupt_batch(x, x_d, x_e), x_e, params.a1, params.a2)
         bad = np.flatnonzero((status < 1) | (decoded != x).any(axis=1))
         if bad.size:
-            row = start + int(bad[0])
-            x, pattern = Word(tuple(x[bad[0]].tolist())), patterns[row % len(patterns)]
-            outcome = decode(corrupt(x, pattern), params)
-            got = (
-                outcome.word.render()
-                if isinstance(outcome, Recovered)
-                else outcome.reason.replace(" ", "-")
-            )
+            i = bad[0]
+            got = render_bits(decoded[i]) if status[i] > 0 else FAILURE_STATUS[status[i]]
             return VerificationReport(
                 "decoder-round-trip",
-                row + 1,
-                f"FAIL x1={x.render()} x2={got} d={pattern.d} e={pattern.e}",
+                start + int(i) + 1,
+                f"FAIL x1={render_bits(x[i])} x2={got.replace(' ', '-')} d={x_d[i]} e={x_e[i]}",
             )
     return VerificationReport("decoder-round-trip", total)
 
@@ -162,27 +160,26 @@ def deletion_balls_disjoint(codebook: Codebook) -> VerificationReport:
     """
     n = codebook.params.n
     check_pairwise(n, len(codebook))
-    seen: dict[tuple[int | None, ...], tuple[Word, int]] = {}
+    # per codeword, its n shortened words in order of d
+    shortened = zip(*(_received(codebook, d, n) for d in range(1, n + 1)))
+    seen: dict[bytes, tuple[Word, int]] = {}
     checked = 0
-    for x in codebook.words:
-        ball: dict[tuple[int | None, ...], int] = {}
-        for d in range(1, n + 1):
-            ball.setdefault(corrupt_symbols(x.bits, d, n), d)
-            checked += 1
-        if len(ball) != run_count(x):
+    for x, received in zip(codebook.words, shortened):
+        checked += n
+        ball = len(set(received))
+        if ball != run_count(x):
             return VerificationReport(
                 "deletion-balls",
                 checked,
                 f"FAIL x1={x.render()} x2={x.render()} d=1 e={n} "
-                f"ball={len(ball)} runs={run_count(x)}",
+                f"ball={ball} runs={run_count(x)}",
             )
-        for symbols, d in ball.items():
-            if symbols in seen:
-                other, other_d = seen[symbols]
+        for d, symbols in enumerate(received, start=1):
+            other, other_d = seen.setdefault(symbols, (x, d))
+            if other is not x:
                 return VerificationReport(
                     "deletion-balls",
                     checked,
                     f"FAIL x1={other.render()} x2={x.render()} d={other_d} e={n}",
                 )
-            seen[symbols] = (x, d)
     return VerificationReport("deletion-balls", checked)

@@ -36,6 +36,8 @@ class Codebook:
     def __post_init__(self) -> None:
         if self.bits.ndim != 2 or self.bits.shape[1] != self.params.n:
             raise ValueError(f"every codeword must have the code length {self.params.n}")
+        if self.bits.dtype != np.uint8 or self.bits.max(initial=0) > 1:
+            raise ValueError("codewords must be a uint8 matrix of 0/1 bits")
 
     @property
     def words(self) -> tuple[Word, ...]:

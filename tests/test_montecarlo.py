@@ -142,8 +142,7 @@ def test_refuses_n_past_the_int32_limit_before_any_work(monkeypatch, n, cls):
 
 
 def test_rejected_trial_counted_and_described(monkeypatch):
-    # the kernel rejects trial 3; the scalar decode, run again on that trial
-    # for the report, recovers the word
+    # the kernel rejects trial 3; the report gives the kernel's failure reason
     real = montecarlo.decode_batch
 
     def reject_trial_3(y, e, a1, a2):
@@ -156,12 +155,11 @@ def test_rejected_trial_counted_and_described(monkeypatch):
     report = run_trials(20, 10, seed=4)
     assert report.failures == 1 and not report.passed
     line = re.fullmatch(
-        r"x=([01]{20}) d=(\d+) e=(\d+) a1=([012]) a2=(\d+) got=([01]{20})", report.first_failure
+        r"x=([01]{20}) d=(\d+) e=(\d+) a1=([012]) a2=(\d+) got=no synchronization", report.first_failure
     )
     assert line is not None, report.first_failure
-    x, d, e, a1, a2, got = line.groups()
+    x, d, e, a1, a2 = line.groups()
     bits = [int(c) for c in x]
-    assert got == x
     assert 1 <= int(d) <= int(e) <= 20
     assert int(a1) == sum(bits) % 3
     assert int(a2) == sum(i * b for i, b in enumerate(bits, start=1)) % 21
@@ -182,14 +180,54 @@ def test_rejected_fixed_class_trial_carries_the_class(monkeypatch):
     monkeypatch.setattr(montecarlo, "decode_batch", reject_trial_2)
     report = run_trials(40, 6, seed=9, a1=2, a2=17)
     assert report.failures == 1 and not report.passed
-    line = re.fullmatch(r"x=([01]{40}) d=(\d+) e=(\d+) a1=2 a2=17 got=([01]{40})", report.first_failure)
+    line = re.fullmatch(
+        r"x=([01]{40}) d=(\d+) e=(\d+) a1=2 a2=17 got=no synchronization", report.first_failure
+    )
     assert line is not None, report.first_failure
-    x, d, e, got = line.groups()
+    x, d, e = line.groups()
     bits = [int(c) for c in x]
-    assert got == x
     assert 1 <= int(d) <= int(e) <= 40
     assert sum(bits) % 3 == 2
     assert sum(i * b for i, b in enumerate(bits, start=1)) % 41 == 17
     assert report.render() == (
         f"n=40 trials=6 seed=9 mode=rejection(a1=2,a2=17) failures=1\nfirst_failure: {report.first_failure}"
     )
+
+
+def test_trials_and_their_report_stay_on_rows(monkeypatch):
+    # no scalar corrupt or decode runs, for the trials or for the failure report
+    def scalar(*args):
+        raise AssertionError("a scalar corrupt or decode ran")
+
+    for name in ("decode", "corrupt"):
+        monkeypatch.setattr(montecarlo, name, scalar, raising=False)
+    assert run_trials(50, 2000, seed=7).passed
+    assert run_trials(40, 500, seed=3, a1=2, a2=17).passed
+    real = montecarlo.decode_batch
+
+    def reject_trial_3(y, e, a1, a2):
+        words, k, status = real(y, e, a1, a2)
+        status = status.copy()
+        status[3] = 0
+        return words, k, status
+
+    monkeypatch.setattr(montecarlo, "decode_batch", reject_trial_3)
+    report = run_trials(20, 10, seed=4)
+    assert report.first_failure == "x=00101110001101101000 d=6 e=18 a1=0 a2=6 got=no synchronization"
+
+
+def test_report_shows_the_word_the_kernel_returned(monkeypatch):
+    # the kernel "recovers" trial 3 with one bit flipped: the report shows that word
+    real = montecarlo.decode_batch
+
+    def flip_trial_3(y, e, a1, a2):
+        words, k, status = real(y, e, a1, a2)
+        words, status = words.copy(), status.copy()
+        words[3, 0] ^= 1
+        status[3] = 1
+        return words, k, status
+
+    monkeypatch.setattr(montecarlo, "decode_batch", flip_trial_3)
+    report = run_trials(20, 10, seed=4)
+    assert report.failures == 1
+    assert report.first_failure == "x=00101110001101101000 d=6 e=18 a1=0 a2=6 got=10101110001101101000"

@@ -197,7 +197,7 @@ class TestVerifyDecoder:
 
     def test_checked_counts_rows_across_batches(self, monkeypatch):
         # the kernel rejects the first row of its third batch; the report
-        # counts every row before it and shows the scalar decode's word
+        # counts every row before it and shows the kernel's failure reason
         real, calls = oracle.decode_batch, []
 
         def reject_third_batch(y, e, a1, a2):
@@ -216,8 +216,72 @@ class TestVerifyDecoder:
         x, pattern = codebook.words[row // len(patterns)], patterns[row % len(patterns)]
         assert report.checked == row + 1
         assert report.render() == (
-            f"FAIL x1={x.render()} x2={x.render()} d={pattern.d} e={pattern.e}"
+            f"FAIL x1={x.render()} x2=no-synchronization d={pattern.d} e={pattern.e}"
         )
+
+
+    def test_reports_the_word_the_kernel_returned(self, monkeypatch):
+        # the kernel "recovers" row 5 with one bit flipped; the report shows that word
+        real = oracle.decode_batch
+
+        def flip_row_5(y, e, a1, a2):
+            words, k, status = real(y, e, a1, a2)
+            words, status = words.copy(), status.copy()
+            words[5, 0] ^= 1
+            status[5] = 1
+            return words, k, status
+
+        monkeypatch.setattr(oracle, "decode_batch", flip_row_5)
+        codebook = enumerate_codebook(best_params(8))
+        x, pattern = codebook.words[0], all_patterns(8)[5]
+        flipped = ("1" if x.render()[0] == "0" else "0") + x.render()[1:]
+        report = verify_decoder(codebook)
+        assert (report.checked, report.render()) == (
+            6,
+            f"FAIL x1={x.render()} x2={flipped} d={pattern.d} e={pattern.e}",
+        )
+
+
+class TestSweepsOnRows:
+    """The sweeps corrupt, hash and report uint8 rows: no scalar corrupt or decode runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_scalar_paths(self, monkeypatch):
+        def scalar(*args):
+            raise AssertionError("a scalar corrupt or decode ran")
+
+        for name in ("corrupt_symbols", "decode", "corrupt"):
+            monkeypatch.setattr(oracle, name, scalar, raising=False)
+
+    @pytest.mark.parametrize(
+        "sweep, per_word",
+        [(verify_code, 36), (verify_decoder, 36), (deletion_balls_disjoint, 8)],
+    )
+    def test_best_class_n8_passes(self, sweep, per_word):
+        codebook = enumerate_codebook(best_params(8))
+        report = sweep(codebook)
+        assert (report.passed, report.checked) == (True, per_word * len(codebook))
+
+    def test_pinned_failures(self):
+        cube = Codebook(CodeParams(3, 0, 0), np.array(list(product((0, 1), repeat=3)), np.uint8))
+        shifted = Codebook(CodeParams(4, 0, 0), rows("0011", "0100"))
+        overlapping = Codebook(CodeParams(4, 0, 0), rows("0001", "1000"))
+        reports = [
+            sweep(codebook)
+            for codebook in (cube, shifted, overlapping)
+            for sweep in (verify_code, verify_decoder, deletion_balls_disjoint)
+        ]
+        assert [(r.checked, r.render()) for r in reports] == [
+            (3, "FAIL x1=000 x2=010 d=1 e=1"),
+            (7, "FAIL x1=001 x2=no-synchronization d=1 e=1"),
+            (6, "FAIL x1=000 x2=001 d=1 e=3"),
+            (11, "FAIL x1=0100 x2=0011 d=3 e=3"),
+            (1, "FAIL x1=0011 x2=no-synchronization d=1 e=1"),
+            (8, "PASS checked=8"),
+            (8, "FAIL x1=0001 x2=1000 d=1 e=3"),
+            (1, "FAIL x1=0001 x2=no-synchronization d=1 e=1"),
+            (8, "FAIL x1=0001 x2=1000 d=4 e=4"),
+        ]
 
 
 class TestDeletionBalls:

@@ -131,6 +131,16 @@ class TestCodebookMatrix:
         with pytest.raises(ValueError, match="code length 4"):
             Codebook(CodeParams(4, 2, 0), np.zeros(shape, np.uint8))
 
+    @pytest.mark.parametrize(
+        "bits",
+        [np.array([[0, 1, 1, 0], [1, 0, 0, 1]], np.int64), np.array([[0, 2, 1, 0]], np.uint8)],
+        ids=["int64", "uint8-holding-2"],
+    )
+    def test_refuses_what_is_not_a_uint8_matrix_of_bits(self, bits):
+        # an int64 copy of (4, 2, 0) would hash as 8-byte cells, and a 2 would render as "2"
+        with pytest.raises(ValueError, match="uint8 matrix of 0/1 bits"):
+            Codebook(CodeParams(4, 2, 0), bits)
+
     @pytest.mark.parametrize("n", [3, 10, 21])
     def test_words_round_trip_bits(self, n):
         cb = enumerate_codebook(best_params(n))
