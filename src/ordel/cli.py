@@ -109,7 +109,7 @@ def verify_cmd(n: int, all_params: bool) -> None:
         param_list = [vt_code.best_params(n)]
     failed = False
     for params in param_list:
-        oracle.check_pairwise(n, sizes[params.a1, params.a2])
+        oracle.check_rows(n, sizes[params.a1, params.a2])
         codebook = vt_code.enumerate_codebook(params)
         for report in (
             oracle.verify_code(codebook),

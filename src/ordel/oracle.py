@@ -8,9 +8,9 @@ two of them.  ``deletion_balls_disjoint`` checks the deletion-only words.
 Nothing from ``decoder`` feeds these three and none touches checksums, so
 agreement with the decoder is genuine evidence.  The sweeps corrupt the rows
 of ``Codebook.bits`` with ``corrupt_batch``, |C| * n(n+1)/2 of them (|C| * n
-for the deletion balls); two hash each as one (n-1)-byte record, and
-``verify_decoder`` reports a failing row from what ``decode_batch`` returned.
-Only ``check_pairwise`` charges |C|^2 * n^2 steps, refusing from |C| alone.
+for the deletion balls); two sort the received rows as (n-1)-byte records,
+and ``verify_decoder`` reports a failing row from what ``decode_batch``
+returned.  ``check_rows`` charges |C| * n(n+1)/2 rows, refusing from |C| alone.
 """
 
 from __future__ import annotations
@@ -19,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import run_count
 from .channel import CorruptionPattern, corrupt_batch, corrupt_symbols, patterns_at
 from .core import ReceivedWord, Word, render_bits
 from .decoder import BATCH_BITS, FAILURE_STATUS, decode_batch
 from .vt_code import Codebook
 
-PAIRWISE_STEP_CAP = 10**9
+ROW_CAP = 2**22  # every class fits through n = 20 (3,496,710 rows at most), none from n = 21
 
 
 @dataclass(frozen=True)
@@ -59,18 +58,27 @@ class VerificationReport:
         return f"PASS checked={self.checked}"
 
 
-def check_pairwise(n: int, size: int) -> None:
-    """Refuse a pairwise sweep over ``size`` codewords of length n past the step cap."""
-    steps = size**2 * n**2
-    if steps > PAIRWISE_STEP_CAP:
-        raise ValueError(f"pairwise sweep needs ~{steps} steps, above the cap {PAIRWISE_STEP_CAP}")
+def check_rows(n: int, size: int) -> None:
+    """Refuse sweeps over ``size`` codewords of length n past the row cap: size * n(n+1)/2."""
+    rows = size * n * (n + 1) // 2
+    if rows > ROW_CAP:
+        raise ValueError(f"the sweeps need {rows} corrupted rows, above the row cap {ROW_CAP}")
 
 
-def _received(codebook: Codebook, d: int, e: int) -> list[bytes]:
-    """Every codeword corrupted by (d, e), each as one (n-1)-byte record; an erasure holds 0."""
-    size, n = codebook.bits.shape
-    rows = corrupt_batch(codebook.bits, np.full(size, d), np.full(size, e))
-    return rows.view(f"V{n - 1}").ravel().tolist()
+def _first_equal(codebook: Codebook, owner: np.ndarray, d: np.ndarray, e: int) -> np.ndarray:
+    """For each row j, the first row whose received word equals row j's.
+
+    Row j is codeword ``owner[j]`` corrupted by (d[j], e).  A stable sort of
+    the (n-1)-byte records keeps each group of equal words in row order.
+    """
+    received = corrupt_batch(codebook.bits[owner], d, np.full(len(d), e))
+    keys = received.view(f"V{codebook.params.n - 1}").ravel()
+    order = np.argsort(keys, kind="stable")
+    starts = np.ones(len(order), bool)
+    starts[1:] = keys[order[1:]] != keys[order[:-1]]
+    first = np.empty_like(order)
+    first[order] = order[starts][np.cumsum(starts) - 1]
+    return first
 
 
 def brute_force_decode(y: ReceivedWord, codebook: Codebook) -> PreimageSet:
@@ -103,21 +111,21 @@ def verify_code(codebook: Codebook) -> VerificationReport:
     then d <= e, then codewords in codebook order, so the reported violation
     is deterministic; its d is the one that x2 takes.
     """
-    n = codebook.params.n
-    check_pairwise(n, len(codebook))
+    n, size = codebook.params.n, len(codebook)
+    check_rows(n, size)
     checked = 0
     for e in range(1, n + 1):
-        # the pool's erasures all sit at e: a stored 0 collides as the marker would
-        seen: dict[bytes, int] = {}
-        for d in range(1, e + 1):
-            for i, received in enumerate(_received(codebook, d, e)):
-                checked += 1
-                other = seen.setdefault(received, i)
-                if other != i:
-                    x1, x2 = render_bits(codebook.bits[other]), render_bits(codebook.bits[i])
-                    return VerificationReport(
-                        "code-capability", checked, f"FAIL x1={x1} x2={x2} d={d} e={e}"
-                    )
+        # one pool per e in (d, codeword) order: all its erasures sit at e,
+        # so the 0 that corrupt_batch stores collides as the marker would
+        d, owner = np.divmod(np.arange(e * size), size)
+        first = _first_equal(codebook, owner, d + 1, e)
+        bad = np.flatnonzero(owner[first] != owner)
+        if bad.size:
+            j = int(bad[0])
+            x1, x2 = (render_bits(codebook.bits[owner[k]]) for k in (first[j], j))
+            failure = f"FAIL x1={x1} x2={x2} d={d[j] + 1} e={e}"
+            return VerificationReport("code-capability", checked + j + 1, failure)
+        checked += e * size
     return VerificationReport("code-capability", checked)
 
 
@@ -131,7 +139,7 @@ def verify_decoder(codebook: Codebook) -> VerificationReport:
     """
     params = codebook.params
     n = params.n
-    check_pairwise(n, len(codebook))
+    check_rows(n, len(codebook))
     d, e = patterns_at(np.arange(n * (n + 1) // 2), n)
     total = len(codebook) * len(d)
     step = max(1, BATCH_BITS // n)
@@ -158,28 +166,23 @@ def deletion_balls_disjoint(codebook: Codebook) -> VerificationReport:
     deleting anywhere inside one run gives the same shortened word, so every
     run contributes exactly one neighbor.
     """
-    n = codebook.params.n
-    check_pairwise(n, len(codebook))
-    # per codeword, its n shortened words in order of d
-    shortened = zip(*(_received(codebook, d, n) for d in range(1, n + 1)))
-    seen: dict[bytes, tuple[Word, int]] = {}
-    checked = 0
-    for x, received in zip(codebook.words, shortened):
-        checked += n
-        ball = len(set(received))
-        if ball != run_count(x):
-            return VerificationReport(
-                "deletion-balls",
-                checked,
-                f"FAIL x1={x.render()} x2={x.render()} d=1 e={n} "
-                f"ball={ball} runs={run_count(x)}",
-            )
-        for d, symbols in enumerate(received, start=1):
-            other, other_d = seen.setdefault(symbols, (x, d))
-            if other is not x:
-                return VerificationReport(
-                    "deletion-balls",
-                    checked,
-                    f"FAIL x1={other.render()} x2={x.render()} d={other_d} e={n}",
-                )
-    return VerificationReport("deletion-balls", checked)
+    n, size = codebook.params.n, len(codebook)
+    check_rows(n, size)
+    # the e = n pool in (codeword, d) order; a ball counts a codeword's distinct first rows
+    owner, d = np.divmod(np.arange(size * n), n)
+    first = _first_equal(codebook, owner, d + 1, n)
+    heads = np.sort(first.reshape(size, n), axis=1)
+    ball = 1 + (heads[:, 1:] != heads[:, :-1]).sum(axis=1)
+    runs = 1 + (codebook.bits[:, 1:] != codebook.bits[:, :-1]).sum(axis=1)
+    shared = (owner[first] != owner).reshape(size, n)
+    bad = np.flatnonzero((ball != runs) | shared.any(axis=1))
+    if not bad.size:
+        return VerificationReport("deletion-balls", size * n)
+    i = int(bad[0])
+    x2 = render_bits(codebook.bits[i])
+    if ball[i] != runs[i]:
+        failure = f"FAIL x1={x2} x2={x2} d=1 e={n} ball={ball[i]} runs={runs[i]}"
+    else:
+        j = first[i * n + np.argmax(shared[i])]
+        failure = f"FAIL x1={render_bits(codebook.bits[owner[j]])} x2={x2} d={d[j] + 1} e={n}"
+    return VerificationReport("deletion-balls", (i + 1) * n, failure)

@@ -63,10 +63,7 @@ def is_member(word: Word, params: CodeParams) -> bool:
 def _check_cap(n: int, cap: int | None) -> None:
     limit = DEFAULT_ENUM_CAP if cap is None else cap
     if n > limit:
-        raise ValueError(
-            f"exhaustive enumeration of 2^{n} words exceeds the cap n <= {limit}; "
-            f"raise the cap explicitly to force it"
-        )
+        raise ValueError(f"exhaustive enumeration of 2^{n} words exceeds the cap n <= {limit}")
 
 
 def class_sizes(n: int, cap: int | None = None) -> np.ndarray:

@@ -157,13 +157,27 @@ class TestVerify:
         assert (status, out) == (1, "")
         assert "cap" in err
 
-    def test_pairwise_cap_from_n17(self, capsys):
-        # enumeration allows n <= 28, but the pairwise sweeps refuse n = 17's best class
-        status, out, err = invoke(capsys, "verify", "--n", "17")
-        assert (status, out) == (1, "")
-        assert "pairwise sweep" in err
+    def test_passes_at_n17(self, capsys):
+        # the sweeps handle |C| * n(n+1)/2, |C| * n(n+1)/2 and |C| * n rows
+        size = class_sizes(17).max()
+        status, out, _ = invoke(capsys, "verify", "--n", "17")
+        assert status == 0
+        assert out.splitlines() == [
+            f"n=17 a1=0 a2=9 {check}: PASS checked={checked}"
+            for check, checked in (
+                ("code-capability", size * 153),
+                ("decoder-round-trip", size * 153),
+                ("deletion-balls", size * 17),
+            )
+        ]
 
-    @pytest.mark.parametrize("argv", [["--n", "25"], ["--n", "28"], ["--n", "17", "--all-params"]])
+    def test_row_cap_from_n21(self, capsys):
+        # enumeration allows n <= 28, but n = 21's best class needs more rows than the cap
+        status, out, err = invoke(capsys, "verify", "--n", "21")
+        assert (status, out) == (1, "")
+        assert "row cap" in err
+
+    @pytest.mark.parametrize("argv", [["--n", "25"], ["--n", "28"], ["--n", "21", "--all-params"]])
     def test_pairwise_cap_before_listing(self, capsys, monkeypatch, argv):
         # the refusal needs only the class size from class_sizes, so no class is listed
         def no_listing(*args):
@@ -172,7 +186,13 @@ class TestVerify:
         monkeypatch.setattr(vt_code, "enumerate_codebook", no_listing)
         status, out, err = invoke(capsys, "verify", *argv)
         assert (status, out) == (1, "")
-        assert "pairwise sweep" in err
+        assert "row cap" in err
+
+    def test_enumeration_cap_names_no_flag(self, capsys):
+        # verify has no --cap, so its refusal past n = 28 offers none
+        status, out, err = invoke(capsys, "verify", "--n", "29")
+        assert (status, out) == (1, "")
+        assert "cap n <= 28" in err and "raise" not in err
 
 
 class TestBounds:

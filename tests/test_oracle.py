@@ -5,15 +5,17 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ordel import oracle
+from ordel.analysis import run_count
 from ordel.channel import CorruptionPattern, all_patterns, corrupt
 from ordel.core import CodeParams, ReceivedWord, parse_received, parse_word
 from ordel.decoder import Recovered, decode
 from ordel.oracle import (
     PreimageSet,
+    VerificationReport,
     brute_force_decode,
     deletion_balls_disjoint,
     verify_code,
@@ -52,6 +54,52 @@ def all_preimage_sets(codebook: Codebook) -> dict[ReceivedWord, PreimageSet]:
         for pattern in all_patterns(x.n):
             pairs[corrupt(x, pattern)].add((x, pattern))
     return {y: PreimageSet(y, frozenset(found)) for y, found in pairs.items()}
+
+
+def dict_verify_code(codebook: Codebook) -> VerificationReport:
+    """Reference: each e's received words pooled in one dict, row by row in (d, codeword) order."""
+    n, words = codebook.params.n, codebook.words
+    checked = 0
+    for e in range(1, n + 1):
+        seen: dict[ReceivedWord, int] = {}
+        for d in range(1, e + 1):
+            for i, x in enumerate(words):
+                checked += 1
+                other = seen.setdefault(corrupt(x, CorruptionPattern(d, e)), i)
+                if other != i:
+                    failure = f"FAIL x1={words[other].render()} x2={x.render()} d={d} e={e}"
+                    return VerificationReport("code-capability", checked, failure)
+    return VerificationReport("code-capability", checked)
+
+
+def dict_deletion_balls(codebook: Codebook) -> VerificationReport:
+    """Reference: each codeword's ball as a set, then its words into one dict, in row order."""
+    n, words = codebook.params.n, codebook.words
+    seen: dict[ReceivedWord, tuple[int, int]] = {}
+    checked = 0
+    for i, x in enumerate(words):
+        checked += n
+        received = [corrupt(x, CorruptionPattern(d, n)) for d in range(1, n + 1)]
+        ball = len(set(received))
+        if ball != run_count(x):
+            failure = f"FAIL x1={x.render()} x2={x.render()} d=1 e={n} ball={ball} runs={run_count(x)}"
+            return VerificationReport("deletion-balls", checked, failure)
+        for d, y in enumerate(received, start=1):
+            other, other_d = seen.setdefault(y, (i, d))
+            if other != i:
+                failure = f"FAIL x1={words[other].render()} x2={x.render()} d={other_d} e={n}"
+                return VerificationReport("deletion-balls", checked, failure)
+    return VerificationReport("deletion-balls", checked)
+
+
+@st.composite
+def hand_built_codebooks(draw):
+    """2 to 6 distinct words of one length n = 3..7, in shuffled row order."""
+    n = draw(st.integers(3, 7))
+    words = draw(st.lists(st.integers(0, 2**n - 1), min_size=2, max_size=6, unique=True))
+    words = draw(st.permutations(words))
+    bits = np.array([[(w >> (n - 1 - i)) & 1 for i in range(n)] for w in words], np.uint8)
+    return Codebook(CodeParams(n, 0, 0), bits)
 
 
 @st.composite
@@ -171,10 +219,10 @@ class TestVerifyCode:
         assert report.passed
 
     def test_step_cap_refusal(self):
-        # 2427 words at n = 17: 2427^2 * 17^2 ~ 1.7e9 steps, past the fixed cap
-        codebook = enumerate_codebook(best_params(17))
-        with pytest.raises(ValueError, match="cap"):
-            verify_code(codebook)
+        # 2100 rows at n = 64: 2100 * 64 * 65 / 2 = 4,368,000 rows, past the 2^22 row cap
+        bits = np.random.default_rng(0).integers(0, 2, (2100, 64), dtype=np.uint8)
+        with pytest.raises(ValueError, match="row cap"):
+            verify_code(Codebook(CodeParams(64, 0, 0), bits))
 
     @pytest.mark.parametrize("sweep", [verify_code, verify_decoder, deletion_balls_disjoint])
     def test_rejects_words_of_another_length(self, sweep):
@@ -282,6 +330,32 @@ class TestSweepsOnRows:
             (1, "FAIL x1=0001 x2=no-synchronization d=1 e=1"),
             (8, "FAIL x1=0001 x2=1000 d=4 e=4"),
         ]
+
+
+class TestSortedSweepsEqualDictSweeps:
+    """The sorted sweeps report exactly what a per-row dict sweep reports."""
+
+    @staticmethod
+    def assert_same(codebook):
+        for sweep, reference in (
+            (verify_code, dict_verify_code),
+            (deletion_balls_disjoint, dict_deletion_balls),
+        ):
+            got, want = sweep(codebook), reference(codebook)
+            assert (got.checked, got.render()) == (want.checked, want.render())
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_every_class(self, n):
+        for a1 in range(3):
+            for a2 in range(n + 1):
+                self.assert_same(enumerate_codebook(CodeParams(n, a1, a2)))
+
+    # 1000's ball holds 000, which 0001 saw first: a ball that counted only
+    # the words a codeword sees first would read ball=1 runs=2 here
+    @example(Codebook(CodeParams(4, 0, 0), rows("0001", "1000")))
+    @given(hand_built_codebooks())
+    def test_hand_built_codebooks(self, codebook):
+        self.assert_same(codebook)
 
 
 class TestDeletionBalls:
