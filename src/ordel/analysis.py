@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Word
 from .vt_code import _check_cap
 
 MIN_BOUND_ARGUMENT = 1.0
@@ -68,12 +67,6 @@ def redundancy_lower_bound(n: int) -> float | None:
     if argument <= math.ldexp(MIN_BOUND_ARGUMENT, -s):
         return None
     return s + math.log2(argument)
-
-
-def run_count(word: Word) -> int:
-    """Number of maximal runs: 1 + #{i : x_i != x_{i+1}}."""
-    bits = word.bits
-    return 1 + sum(bits[i] != bits[i + 1] for i in range(len(bits) - 1))
 
 
 def run_threshold(n: int) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 from .channel import corrupt_batch, patterns_at
 from .core import CodeParams, render_bits
 from .decoder import BATCH_BITS, FAILURE_STATUS, check_batch_length, decode_batch, row_sums
-from .vt_code import class_sizes, subset_keys
+from .vt_code import class_sizes, subset_buckets
 
 
 @dataclass(frozen=True)
@@ -62,16 +62,15 @@ def _completions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
 
     ``cols`` are the 0-based columns of L positions: every power of two <= n,
     whose subsets reach every weighted residue, then the smallest others.
-    Sorted by key, the 2^L completions hold bucket t at order[start[t]:start[t + 1]].
+    Their 2^L subsets are bucketed by ``vt_code.subset_buckets``, as in class listing.
     """
     b = n.bit_length()
     size = min(n, max(b, min(16, b + 5)))
     others = [i for i in range(3, 3 * size) if i & (i - 1)][: size - b]
     cols = np.array(sorted(others + [1 << j for j in range(b)]))
-    key = subset_keys(cols, n + 1)
-    start = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=3 * (n + 1)))))
+    order, start = subset_buckets(cols, n + 1)
     k = int(np.diff(start).max() - 1).bit_length()  # 2^k >= the largest bucket
-    return cols - 1, np.argsort(key, kind="stable"), start, k
+    return cols - 1, order, start, k
 
 
 def _complete(table, words: np.ndarray, u: np.ndarray, a1: int, a2: int) -> np.ndarray:

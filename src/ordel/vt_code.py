@@ -8,9 +8,9 @@ The 3(n+1) parameter classes partition {0,1}^n, so some class always has at
 least 2^n / (3(n+1)) members; ``best_params`` picks the largest one.
 
 Class sizes come from an exact count over positions, O(n^2) work.  Listing
-a class is exponential: it tabulates the residues of the last positions once
-and scans that table for each prefix of the first positions, in bounded
-chunks, into uint8 rows of n bytes in lexicographic order (x_1 most significant).
+a class is exponential: each prefix of the first n//2 positions takes the one
+bucket of ``subset_buckets`` over the last positions that completes it, into
+uint8 rows of n bytes in lexicographic order (x_1 most significant).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 from .core import CodeParams, Word
 
 DEFAULT_ENUM_CAP = 28
-_CHUNK_BITS = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,29 +95,38 @@ def subset_keys(positions, m: int) -> np.ndarray:
     return s % 3 * m + w % m
 
 
+def subset_buckets(positions, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Subsets grouped by ``subset_keys``: key t's are order[start[t]:start[t + 1]], ascending."""
+    key = subset_keys(positions, m)
+    start = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=3 * m))))
+    return np.argsort(key, kind="stable"), start
+
+
+def _bit_rows(width: int) -> np.ndarray:
+    """Row t holds the ``width`` bits of t, most significant first, as 0/1 uint8."""
+    return (np.arange(1 << width)[:, None] >> np.arange(width - 1, -1, -1) & 1).astype(np.uint8)
+
+
 def enumerate_codebook(params: CodeParams, cap: int | None = None) -> Codebook:
     """Collect the members of one class in lexicographic order.
 
-    The residues of the last ``low`` positions are tabulated once, indexed by
-    those bits read as an integer; each of the 2^(n - low) prefixes of the
-    first positions then selects its completions with one comparison.
+    Each prefix of the first n // 2 positions is completed by one bucket of
+    the last positions; all prefixes' buckets are gathered at once.
     """
     n, m = params.n, params.n + 1
     _check_cap(n, cap)
-    low = min(n, _CHUNK_BITS)
-    high = n - low
-    key = subset_keys(range(n, high, -1), m)
+    high = n // 2
+    order, start = subset_buckets(range(n, high, -1), m)
     prefix_key = subset_keys(range(high, 0, -1), m)
     target = (params.a1 - prefix_key // m) % 3 * m + (params.a2 - prefix_key % m) % m
-    shifts = np.arange(low - 1, -1, -1)
-    blocks = []
-    for p, t in enumerate(target.tolist()):
-        hits = np.flatnonzero(key == t)
-        block = np.empty((len(hits), n), np.uint8)
-        block[:, :high] = [(p >> (high - i)) & 1 for i in range(1, high + 1)]
-        block[:, high:] = (hits[:, None] >> shifts) & 1
-        blocks.append(block)
-    return Codebook(params, np.concatenate(blocks))
+    count = start[target + 1] - start[target]
+    ends = np.cumsum(count)
+    # row r, of prefix p, is entry r - (ends[p] - count[p]) of p's bucket
+    entry = np.arange(ends[-1]) + np.repeat(start[target] - ends + count, count)
+    bits = np.empty((len(entry), n), np.uint8)
+    bits[:, :high] = np.repeat(_bit_rows(high), count, axis=0)
+    bits[:, high:] = _bit_rows(n - high)[order][entry]
+    return Codebook(params, bits)
 
 
 def best_params(n: int, cap: int | None = None) -> CodeParams:

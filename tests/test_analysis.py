@@ -10,11 +10,11 @@ from ordel.analysis import (
     bounds_table,
     redundancy_lower_bound,
     redundancy_upper_bound,
-    run_count,
     run_stats,
     run_threshold,
 )
-from ordel.core import Word, parse_word
+from ordel.channel import CorruptionPattern, corrupt
+from ordel.core import Word
 from ordel.vt_code import class_sizes
 
 
@@ -25,6 +25,12 @@ def runs_by_blocks(bits) -> int:
         if a != b:
             blocks += 1
     return blocks
+
+
+def deletion_ball_size(bits) -> int:
+    """How many words one deletion makes from ``bits``; e = n leaves no erasure."""
+    n = len(bits)
+    return len({corrupt(Word(tuple(bits)), CorruptionPattern(d, n)) for d in range(1, n + 1)})
 
 
 class TestBounds:
@@ -72,19 +78,20 @@ class TestBounds:
 
 
 class TestRunCount:
+    """A word's single-deletion ball has one word per run: the module's converse bound rests on it."""
+
     def test_examples(self):
-        assert run_count(parse_word("0000")) == 1
-        assert run_count(parse_word("10110")) == 4  # 1|0|11|0
+        assert deletion_ball_size((0, 0, 0, 0)) == 1
+        assert deletion_ball_size((1, 0, 1, 1, 0)) == 4  # 1|0|11|0
 
     @pytest.mark.parametrize("n", [3, 8, 15])
     def test_alternating_word(self, n):
-        bits = tuple(i % 2 for i in range(n))
-        assert run_count(Word(bits)) == n
+        assert deletion_ball_size([i % 2 for i in range(n)]) == n
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_matches_block_decomposition(self, n):
         for bits in product((0, 1), repeat=n):
-            assert run_count(Word(bits)) == runs_by_blocks(bits)
+            assert deletion_ball_size(bits) == runs_by_blocks(bits)
 
 
 class TestRunThreshold:

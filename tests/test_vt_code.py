@@ -31,6 +31,15 @@ def brute_members(n: int, a1: int, a2: int) -> list[str]:
     return out
 
 
+def traced_peak(call, *args):
+    """``call(*args)`` and the tracemalloc peak, in bytes, while it ran."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestIsMember:
     def test_examples(self):
         assert is_member(parse_word("000"), CodeParams(3, 0, 0))
@@ -101,6 +110,24 @@ class TestEnumerate:
             class_sizes(29)
 
 
+class TestEveryClass:
+    """Each class, row for row, is the lexicographic cube filtered by plain numpy sums.
+
+    n = 3..16 lists every split into n // 2 prefix positions and the rest,
+    odd and even, down to a one-position prefix at n = 3.
+    """
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_rows_equal_filtered_cube(self, n):
+        cube = np.array(list(product((0, 1), repeat=n)), np.uint8)
+        bit_sum = cube.sum(axis=1) % 3
+        weighted = cube.astype(np.int64) @ np.arange(1, n + 1) % (n + 1)
+        for a1 in range(3):
+            for a2 in range(n + 1):
+                expected = cube[(bit_sum == a1) & (weighted == a2)]
+                assert np.array_equal(enumerate_codebook(CodeParams(n, a1, a2)).bits, expected)
+
+
 def bitwise_class_sizes(n: int) -> list[list[int]]:
     """Independent count: extend every (a1, a2) tally by one bit at a time."""
     table = [[0] * (n + 1) for _ in range(3)]
@@ -148,22 +175,23 @@ class TestCodebookMatrix:
         assert np.array_equal(np.array([w.bits for w in cb.words], np.uint8), cb.bits)
 
     def test_enumeration_peak_memory(self):
-        # 60,788 words at n = 22 take 1.3 MB as rows; the peak, about 16 MB,
-        # is the residue table of the last 20 positions.  Holding the words
-        # as Word values peaked at 26 MB.
-        params = best_params(22)
-        tracemalloc.start()
-        try:
-            codebook = enumerate_codebook(params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # 60,788 words at n = 22 take 1.3 MB as rows; the peak, about 2.5 MB,
+        # is those rows and the int64 bucket entries gathered for them
+        codebook, peak = traced_peak(enumerate_codebook, best_params(22))
         assert len(codebook) == 60788
-        assert peak < 20 * 2**20
+        assert peak < 5 * 2**20
+
+    def test_enumeration_peak_memory_at_the_cap(self):
+        # at n = 28 the 3.1M rows take 87 MB; besides them the gather holds
+        # int64 bucket entries and one half of the rows, about 1.8x in all
+        params = best_params(28)
+        codebook, peak = traced_peak(enumerate_codebook, params)
+        assert len(codebook) == class_sizes(28)[params.a1, params.a2]
+        assert peak <= 2 * codebook.bits.nbytes
 
 
 class TestEnumerateByPrefix:
-    """n = 21 and 22 are the only sizes under the cap that scan several prefixes."""
+    """Odd and even splits above the sizes that ``TestEveryClass`` lists against the cube."""
 
     @pytest.mark.parametrize("n", [21, 22])
     def test_count_order_and_membership(self, n):
@@ -228,11 +256,5 @@ def test_render_codebook_format():
 def test_render_codebook_peak_memory():
     # the listing is one uint8 buffer decoded once, so at its peak render
     # holds that buffer and the returned str: about twice the listing
-    codebook = enumerate_codebook(best_params(22))
-    tracemalloc.start()
-    try:
-        text = render_codebook(codebook)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    text, peak = traced_peak(render_codebook, enumerate_codebook(best_params(22)))
     assert peak <= 2.2 * len(text)
