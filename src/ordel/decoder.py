@@ -25,7 +25,7 @@ peak near n^2 and are reduced only at comparison time; they are exact Python
 ints, so the scalar ``decode`` has no length limit of its own.
 
 ``decode_batch`` runs the same two steps on a batch of received words held
-as a numpy array, with the scan as one prefix sum per row; the scalar
+as a numpy array, with the scan as a count of 1s per row; the scalar
 ``decode`` stays the reference it is tested against.
 """
 
@@ -69,9 +69,9 @@ class DecodeFailure:
 
 
 # word bits per batch for callers of decode_batch: BATCH_BITS // n rows at a
-# time bounds a batch's largest temporary (the int32 prefix sums) to 128 KB
-# whatever n is, and keeps the numpy calls per row few
-BATCH_BITS = 1 << 15
+# time bounds a batch's largest temporary (int64 sync positions, <= 8 bytes
+# per bit) to about 1 MB whatever n is, and keeps the numpy calls per row few
+BATCH_BITS = 1 << 17
 
 # the bit guesses each discrepancy leaves, in the order the passes try them;
 # with no erasure the deleted bit is the discrepancy, the first guess
@@ -181,28 +181,31 @@ def row_sums(bits: np.ndarray, first_weight: int) -> tuple[np.ndarray, np.ndarra
     return bits.sum(axis=1, dtype=np.int64), np.einsum("ij,j->i", bits, weights)
 
 
-def _first_sync(y, e, a2, deleted, erased, weighted) -> np.ndarray:
-    """Per row, the smallest k in 1..e whose checksum matches a2 mod n+1, else 0."""
+def _first_sync(y, e, a2, deleted, erased, weighted, bit_sum) -> np.ndarray:
+    """Per row, the smallest k in 1..e whose checksum matches a2 mod n+1, else 0.
+
+    Rows of ``y`` must be 0/1 bytes: ``y ^ deleted`` is read as bool in place.
+    """
     rows, m = y.shape
     modulus = m + 2
-    # checksum at k is f1 + G_{k-1}, with f1 the k=1 checksum and
-    # G_j = sum_{i<=j} (deleted - y_i); |G_j| <= n - 1, so G_{k-1} matches
-    # exactly when it equals the residue t or t - (n + 1)
-    target = ((a2 - deleted - (e + 1) * erased - weighted) % modulus).astype(np.int32)
-    steps = np.subtract(deleted[:, None], y, dtype=np.int32)
-    np.cumsum(steps, axis=1, out=steps)
-    hit = steps == target[:, None]
-    hit |= steps == (target - modulus)[:, None]
-    j = hit.argmax(axis=1) + 1
-    found = hit[np.arange(rows), j - 1] & (j < e)
+    # checksum at k is f1 + G_{k-1}, with G_j = sum_{i<=j} (deleted - y_i) moving by 0
+    # or +-1 (the guess's sign) within +-(n - 1): it first matches the residue t at
+    # the c-th 1 of y ^ deleted, c = t or n + 1 - t; an erased slot's stored 0 counts
+    t = (a2 - deleted - (e + 1) * erased - weighted) % modulus
+    c = np.where(deleted == 1, t, modulus - t)
+    counts = np.where(deleted == 1, m - bit_sum, bit_sum)
+    pos = np.flatnonzero((y ^ deleted[:, None]).view(bool))
+    hit = np.flatnonzero((c >= 1) & (c <= counts))
+    k = np.zeros(rows, np.int64)
+    k[hit] = pos[(np.cumsum(counts) - counts)[hit] + c[hit] - 1] - hit * m + 2
     # G_0 = 0 matches only t = 0, at k = 1
-    return np.where(target == 0, 1, np.where(found, j + 1, 0))
+    return np.where(t == 0, 1, np.where(k <= e, k, 0))
 
 
 def check_batch_length(n: int) -> None:
-    """Refuse n + 1 >= 2^31: ``decode_batch``'s prefix sums and sync targets are int32."""
+    """Refuse n + 1 >= 2^31: ``patterns_at``'s int64 root is exact while n(n+1)/2 < 2^62."""
     if n + 1 >= 2**31:
-        raise ValueError(f"n = {n} needs prefix sums past 2^31 - 1, the int32 limit")
+        raise ValueError(f"n = {n} is past n + 1 < 2^31, which keeps int64 pattern indices exact")
 
 
 def decode_batch(y: np.ndarray, e, a1, a2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -217,29 +220,26 @@ def decode_batch(y: np.ndarray, e, a1, a2) -> tuple[np.ndarray, np.ndarray, np.n
     failed row are unspecified.
 
     The steps: the discrepancy per row; the k=1 checksum f1 from one
-    weighted sum (``row_sums`` with weights 2..n); the int32 prefix sums G of
-    deleted - y and the first k <= e where f1 + G_{k-1} matches a2; a second
-    pass, guessing (deleted, erased) = (0, 1), only for erasure rows with
-    discrepancy 1 that found no k; then one masked copy that rebuilds every
-    word.
+    weighted sum (``row_sums`` with weights 2..n); the first k <= e where
+    f1 + G_{k-1} matches a2, as the c-th 1 of y ^ deleted; a second pass,
+    guessing (deleted, erased) = (0, 1), only for erasure rows with
+    discrepancy 1 that found no k; then one masked copy rebuilds every word.
 
     Fixed-width limits: symbols and words are one bit per uint8 byte, with no
     packing; the int64 sums of ``row_sums`` are exact far past any n that
-    fits in memory; the prefix sums and sync targets are int32 and lie within
-    +-(n + 1), so n + 1 >= 2^31 raises a ValueError.
+    fits in memory; sync targets and positions are int64; n + 1 >= 2^31
+    raises a ValueError (``check_batch_length``).
     """
     rows, m = y.shape
     n = m + 1
     check_batch_length(n)
-    e = np.broadcast_to(np.asarray(e, np.int64), (rows,))
-    a1 = np.broadcast_to(np.asarray(a1, np.int64), (rows,))
-    a2 = np.broadcast_to(np.asarray(a2, np.int64), (rows,))
+    e, a1, a2 = (np.broadcast_to(np.asarray(v, np.int64), (rows,)) for v in (e, a1, a2))
     bit_sum, weighted = row_sums(y, 2)
     disc = (a1 - bit_sum) % 3
     erasure = e < n
-    deleted = (disc > 0).astype(np.int8)
-    erased = (erasure & (disc == 2)).astype(np.int8)
-    k = _first_sync(y, e, a2, deleted, erased, weighted)
+    deleted = (disc > 0).astype(np.uint8)
+    erased = (erasure & (disc == 2)).astype(np.uint8)
+    k = _first_sync(y, e, a2, deleted, erased, weighted, bit_sum)
     status = (k > 0).astype(np.int8)
     status[~erasure & (disc == 2)] = -1
     retry = np.flatnonzero(erasure & (disc == 1) & (k == 0))
@@ -247,7 +247,7 @@ def decode_batch(y: np.ndarray, e, a1, a2) -> tuple[np.ndarray, np.ndarray, np.n
         deleted[retry] = 0
         erased[retry] = 1
         k2 = _first_sync(y[retry], e[retry], a2[retry], deleted[retry], erased[retry],
-                         weighted[retry])
+                         weighted[retry], bit_sum[retry])
         k[retry] = k2
         status[retry] = np.where(k2 > 0, 2, 0)
     # z_i = y_i before k, the deleted guess at k, y_{i-1} after it, and the

@@ -92,7 +92,7 @@ def _complete(table, words: np.ndarray, u: np.ndarray, a1: int, a2: int) -> np.n
 
 
 def _draw_codewords(
-    rng: random.Random, n: int, count: int, rows: int, a1: int | None, a2: int | None, table
+    rng: random.Random, n: int, count: int, a1: int | None, a2: int | None, table
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``count`` words and their classes (a1 values, a2 values): each word's own, or a1/a2."""
     if a1 is None:
@@ -100,8 +100,8 @@ def _draw_codewords(
         bit_sum, weighted = row_sums(words, 1)
         return words, bit_sum % 3, weighted % (n + 1)
     found: list[np.ndarray] = []
-    while sum(map(len, found)) < count:  # rows words, then their k-bit values of u
-        words, u_bits = _draw_words(rng, rows, n), _draw_words(rng, rows, table[3])
+    while sum(map(len, found)) < count:  # count words, then their k-bit values of u
+        words, u_bits = _draw_words(rng, count, n), _draw_words(rng, count, table[3])
         found.append(_complete(table, words, u_bits @ (1 << np.arange(table[3])), a1, a2))
     return np.concatenate(found)[:count], np.full(count, a1), np.full(count, a2)
 
@@ -140,7 +140,7 @@ def run_trials(
     first_failure: str | None = None
     for done in range(0, trials, rows):
         count = min(rows, trials - done)
-        words, s1, s2 = _draw_codewords(rng, n, count, rows, a1, a2, table)
+        words, s1, s2 = _draw_codewords(rng, n, count, a1, a2, table)
         d, e = patterns_at([rng.randrange(n * (n + 1) // 2) for _ in range(count)], n)
         decoded, _, status = decode_batch(corrupt_batch(words, d, e), e, s1, s2)
         bad = np.flatnonzero((status < 1) | (decoded != words).any(axis=1))

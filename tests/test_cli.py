@@ -271,7 +271,7 @@ class TestSimulate:
     def test_n_past_the_int32_limit_is_a_usage_error(self, capsys, n, cls):
         status, out, err = invoke(capsys, "simulate", "--n", str(n), "--trials", "1", "--seed", "1", *cls)
         assert (status, out) == (1, "")
-        assert "int32 limit" in err
+        assert "n + 1 < 2^31" in err
 
     def test_partial_class_rejected(self, capsys):
         status, _, _ = invoke(

@@ -71,6 +71,33 @@ def class_of(bits: tuple[int, ...]) -> tuple[int, int]:
     return sum(bits) % 3, sum(i * b for i, b in enumerate(bits, start=1)) % (n + 1)
 
 
+def count_edge_rows(n: int) -> list[tuple[ReceivedWord, int, int]]:
+    """Rows whose a2 puts the first guess's match at each edge of the count.
+
+    The match is at the c-th 1 of y ^ deleted (the erased slot's stored 0
+    included); per row, c is 0 (k = 1), 1, the last 1 before column e (k = e),
+    the next 1 (k > e: under deleted = 1 the erased slot itself), and one past
+    the row's last 1.
+    """
+    rng = random.Random(n)
+    m = n - 1
+    bases = [[0] * m, [1] * m, [i % 2 for i in range(m)], [rng.randint(0, 1) for _ in range(m)]]
+    rows = []
+    for bits, e, a1 in product(bases, sorted({1, n // 2, n - 1, n}), range(3)):
+        symbols = list(bits)
+        if e < n:
+            symbols[e - 1] = None
+        received = ReceivedWord(tuple(symbols), e if e < n else None)
+        disc = discrepancy(received, CodeParams(n, a1, 0))
+        hyp = BitHypothesis(int(disc > 0), int(disc == 2 and e < n))
+        f1 = hypothesis_checksum(received, 1, hyp, CodeParams(n, a1, 0))
+        steps = [int((s or 0) != hyp.deleted) for s in symbols]
+        before_e = sum(steps[: e - 1])
+        for c in sorted({0, 1, before_e, before_e + 1, sum(steps) + 1}):
+            rows.append((received, a1, (f1 + (c if hyp.deleted else -c)) % (n + 1)))
+    return rows
+
+
 class TestDiscrepancy:
     def test_erased_symbol_excluded(self):
         # transmitted 1001, pattern (2, 2): both missing bits are zero
@@ -377,6 +404,39 @@ class TestDecodeBatch:
         ]
         assert_batch_matches_decode(n, rows)
 
+    @pytest.mark.parametrize("n", [3, 4, 1000])
+    def test_count_edges_in_one_batch(self, n):
+        rows = count_edge_rows(n)
+        assert_batch_matches_decode(n, rows)
+        outs = [decode(r, CodeParams(n, a1, a2)) for r, a1, a2 in rows]
+        recovered = [out for out in outs if isinstance(out, Recovered)]
+        assert any(out.insertion_index == 1 for out in recovered)
+        assert {1, 2} == {out.sync_pass for out in recovered}
+        assert {NO_SYNC, INVALID_DISCREPANCY} == {
+            out.reason for out in outs if isinstance(out, DecodeFailure)
+        }
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 300), st.integers(1, 64), st.integers(0, 2**32 - 1))
+    def test_many_rows_match_decode(self, n, count, seed):
+        # a wrong per-row offset into the batch's flat sync positions only
+        # shows across many rows: round trips of words with their own class,
+        # and arbitrary received words, each row with its own density of 1s
+        rng, rows = random.Random(seed), []
+        for _ in range(count):
+            density = rng.random()
+            bits = tuple(int(rng.random() < density) for _ in range(n))
+            if rng.random() < 0.5:
+                d = rng.randint(1, n)
+                pattern = CorruptionPattern(d, rng.randint(d, n))
+                rows.append((corrupt(Word(bits), pattern), *class_of(bits)))
+            else:
+                e = rng.randint(1, n)
+                symbols = bits[:-1] if e == n else bits[: e - 1] + (None,) + bits[e:-1]
+                received = ReceivedWord(symbols, e if e < n else None)
+                rows.append((received, rng.randint(0, 2), rng.randint(0, n)))
+        assert_batch_matches_decode(n, rows)
+
     def test_empty_batch(self):
         # the class (n=3, a1=0, a2=1) has no words, so its batch has no rows
         assert enumerate_codebook(CodeParams(3, 0, 1)).words == ()
@@ -392,10 +452,9 @@ class TestBatchLimits:
             row_sums(np.ones((1, 2), np.uint8), 2**62)
 
     def test_kernel_refuses_n_past_the_int32_prefix_limit(self):
-        # n = 2^31 - 2 is the largest n whose sync targets, down to -(n + 1),
-        # fit int32; one more is refused before any work, so a zero-stride
-        # view of the word is enough
+        # n = 2^31 - 2 is the largest n the batch kernels take; one more is
+        # refused before any work, so a zero-stride view of the word is enough
         n = 2**31 - 1
         y = np.broadcast_to(np.uint8(1), (1, n - 1))
-        with pytest.raises(ValueError, match=r"2\^31"):
+        with pytest.raises(ValueError, match=r"n \+ 1 < 2\^31"):
             decode_batch(y, n, 0, 0)

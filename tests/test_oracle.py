@@ -245,7 +245,8 @@ class TestVerifyDecoder:
 
     def test_checked_counts_rows_across_batches(self, monkeypatch):
         # the kernel rejects the first row of its third batch; the report
-        # counts every row before it and shows the kernel's failure reason
+        # counts every row before it and shows the kernel's failure reason;
+        # 2^10 bits per batch splits the n = 13 sweep into 78-row batches
         real, calls = oracle.decode_batch, []
 
         def reject_third_batch(y, e, a1, a2):
@@ -257,6 +258,7 @@ class TestVerifyDecoder:
             return words, k, status
 
         monkeypatch.setattr(oracle, "decode_batch", reject_third_batch)
+        monkeypatch.setattr(oracle, "BATCH_BITS", 1 << 10)
         codebook = enumerate_codebook(best_params(13))
         report = verify_decoder(codebook)
         row = calls[0] + calls[1]

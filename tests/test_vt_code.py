@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ordel.core import CodeParams, Word, parse_word
+from ordel.decoder import row_sums
 from ordel.vt_code import (
     Codebook,
     best_params,
@@ -196,11 +197,15 @@ class TestEnumerateByPrefix:
     @pytest.mark.parametrize("n", [21, 22])
     def test_count_order_and_membership(self, n):
         sizes = class_sizes(n)
+        first_bit_high = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
         for params in (CodeParams(n, 0, 0), best_params(n), CodeParams(n, 2, n)):
-            words = enumerate_codebook(params).words
-            assert len(words) == sizes[params.a1, params.a2]
-            assert all(a.bits < b.bits for a, b in zip(words, words[1:]))
-            assert all(is_member(w, params) for w in words)
+            bits = enumerate_codebook(params).bits
+            assert bits.shape == (sizes[params.a1, params.a2], n)
+            # rows read as integers, first bit highest: strictly increasing
+            # means lexicographic order with no repeats
+            assert (np.diff(bits @ first_bit_high) > 0).all()
+            bit_sum, weighted = row_sums(bits, 1)
+            assert (bit_sum % 3 == params.a1).all() and (weighted % (n + 1) == params.a2).all()
 
 
 class TestBestParams:
