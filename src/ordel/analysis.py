@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .vt_code import _check_cap
+from .vt_code import check_count
 
 MIN_BOUND_ARGUMENT = 1.0
 
@@ -79,10 +79,10 @@ def run_threshold(n: int) -> float:
     return (n - 1) / 2.0 - math.sqrt(2.0 * (n - 1) * math.log2(n))
 
 
-def run_stats(n: int, cap: int | None = None) -> RunStats:
-    """Exact run-count tallies over all 2^n words (capped like the exhaustive scans)."""
-    threshold = run_threshold(n)  # refuses n < 3 before the cap check
-    _check_cap(n, cap)
+def run_stats(n: int) -> RunStats:
+    """Exact run-count tallies over all 2^n words, for 3 <= n <= ``vt_code.COUNT_LIMIT``."""
+    check_count(n)
+    threshold = run_threshold(n)
     words = 1 << n
     # one run per word, plus one per differing adjacent pair; each of the
     # n - 1 pairs differs in half the words

@@ -52,7 +52,7 @@ def codebook_cmd(n: int, a1: int | None, a2: int | None, best: bool, cap: int | 
     if best:
         if a1 is not None or a2 is not None:
             raise click.UsageError("--best excludes --a1/--a2")
-        params = vt_code.best_params(n, cap)
+        params = vt_code.best_params(n)
     else:
         if a1 is None or a2 is None:
             raise click.UsageError("give both --a1 and --a2, or --best")
@@ -172,10 +172,9 @@ def simulate_cmd(n: int, trials: int, seed: int, a1: int | None, a2: int | None)
 
 @cli.command("runs")
 @click.option("--n", type=int, required=True)
-@click.option("--cap", type=int, default=None, help="Override the enumeration cap (default 28).")
-def runs_cmd(n: int, cap: int | None) -> None:
-    """Exhaustive run-count statistics over all 2^n words."""
-    stats = analysis.run_stats(n, cap)
+def runs_cmd(n: int) -> None:
+    """Exact run-count statistics over all 2^n words."""
+    stats = analysis.run_stats(n)
     lemma_bound = 1.0 - 4.0 / (n * n)
     _echo(
         f"n={stats.n} words={stats.words} mean_runs={stats.mean_runs:.6f} "

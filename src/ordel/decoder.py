@@ -117,14 +117,13 @@ def hypothesis_checksum(y: ReceivedWord, k: int, hyp: BitHypothesis, params: Cod
     return total
 
 
-def checksum_step(fk: int, k: int, y_k: int | None, hyp: BitHypothesis) -> int:
+def checksum_step(fk: int, k: int, y_k: int, hyp: BitHypothesis) -> int:
     """Advance the checksum from insertion point k to k + 1 in O(1).
 
     Moving the insertion point past y_k drops one unit of its weight and adds
-    one unit of the guessed bit; an erased y_k contributes nothing.
+    one unit of the guessed bit.  ``decode`` steps only while k < e, so y_k
+    is never the erased symbol.
     """
-    if y_k is None:
-        return fk + hyp.deleted
     return fk + hyp.deleted - y_k
 
 
@@ -202,12 +201,6 @@ def _first_sync(y, e, a2, deleted, erased, weighted, bit_sum) -> np.ndarray:
     return np.where(t == 0, 1, np.where(k <= e, k, 0))
 
 
-def check_batch_length(n: int) -> None:
-    """Refuse n + 1 >= 2^31: ``patterns_at``'s int64 root is exact while n(n+1)/2 < 2^62."""
-    if n + 1 >= 2**31:
-        raise ValueError(f"n = {n} is past n + 1 < 2^31, which keeps int64 pattern indices exact")
-
-
 def decode_batch(y: np.ndarray, e, a1, a2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``decode`` for B received words at once, row for row the same result.
 
@@ -227,12 +220,10 @@ def decode_batch(y: np.ndarray, e, a1, a2) -> tuple[np.ndarray, np.ndarray, np.n
 
     Fixed-width limits: symbols and words are one bit per uint8 byte, with no
     packing; the int64 sums of ``row_sums`` are exact far past any n that
-    fits in memory; sync targets and positions are int64; n + 1 >= 2^31
-    raises a ValueError (``check_batch_length``).
+    fits in memory; sync targets and positions are int64.
     """
     rows, m = y.shape
     n = m + 1
-    check_batch_length(n)
     e, a1, a2 = (np.broadcast_to(np.asarray(v, np.int64), (rows,)) for v in (e, a1, a2))
     bit_sum, weighted = row_sums(y, 2)
     disc = (a1 - bit_sum) % 3

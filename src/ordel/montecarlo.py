@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import corrupt_batch, patterns_at
+from .channel import corrupt_batch, pattern_count, patterns_at
 from .core import CodeParams, render_bits
-from .decoder import BATCH_BITS, FAILURE_STATUS, check_batch_length, decode_batch, row_sums
+from .decoder import BATCH_BITS, FAILURE_STATUS, decode_batch, row_sums
 from .vt_code import class_sizes, subset_buckets
 
 
@@ -121,7 +121,7 @@ def run_trials(
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    check_batch_length(n)
+    patterns = pattern_count(n)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if (a1 is None) != (a2 is None):
@@ -141,7 +141,7 @@ def run_trials(
     for done in range(0, trials, rows):
         count = min(rows, trials - done)
         words, s1, s2 = _draw_codewords(rng, n, count, a1, a2, table)
-        d, e = patterns_at([rng.randrange(n * (n + 1) // 2) for _ in range(count)], n)
+        d, e = patterns_at([rng.randrange(patterns) for _ in range(count)], n)
         decoded, _, status = decode_batch(corrupt_batch(words, d, e), e, s1, s2)
         bad = np.flatnonzero((status < 1) | (decoded != words).any(axis=1))
         failures += bad.size

@@ -8,7 +8,7 @@ two of them.  ``deletion_balls_disjoint`` checks the deletion-only words.
 Nothing from ``decoder`` feeds these three and none touches checksums, so
 agreement with the decoder is genuine evidence.  The sweeps corrupt the rows
 of ``Codebook.bits`` with ``corrupt_batch``, |C| * n(n+1)/2 of them (|C| * n
-for the deletion balls); two sort the received rows as (n-1)-byte records,
+for the deletion balls); two group the received rows as (n-1)-byte records,
 and ``verify_decoder`` reports a failing row from what ``decode_batch``
 returned.  ``check_rows`` charges |C| * n(n+1)/2 rows, refusing from |C| alone.
 """
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CorruptionPattern, corrupt_batch, corrupt_symbols, patterns_at
+from .channel import CorruptionPattern, corrupt_batch, corrupt_symbols, pattern_count, patterns_at
 from .core import ReceivedWord, Word, render_bits
 from .decoder import BATCH_BITS, FAILURE_STATUS, decode_batch
 from .vt_code import Codebook
@@ -60,7 +60,7 @@ class VerificationReport:
 
 def check_rows(n: int, size: int) -> None:
     """Refuse sweeps over ``size`` codewords of length n past the row cap: size * n(n+1)/2."""
-    rows = size * n * (n + 1) // 2
+    rows = size * pattern_count(n)
     if rows > ROW_CAP:
         raise ValueError(f"the sweeps need {rows} corrupted rows, above the row cap {ROW_CAP}")
 
@@ -68,17 +68,13 @@ def check_rows(n: int, size: int) -> None:
 def _first_equal(codebook: Codebook, owner: np.ndarray, d: np.ndarray, e: int) -> np.ndarray:
     """For each row j, the first row whose received word equals row j's.
 
-    Row j is codeword ``owner[j]`` corrupted by (d[j], e).  A stable sort of
-    the (n-1)-byte records keeps each group of equal words in row order.
+    Row j is codeword ``owner[j]`` corrupted by (d[j], e).  ``np.unique``
+    groups the (n-1)-byte records and gives each group's first row.
     """
     received = corrupt_batch(codebook.bits[owner], d, np.full(len(d), e))
     keys = received.view(f"V{codebook.params.n - 1}").ravel()
-    order = np.argsort(keys, kind="stable")
-    starts = np.ones(len(order), bool)
-    starts[1:] = keys[order[1:]] != keys[order[:-1]]
-    first = np.empty_like(order)
-    first[order] = order[starts][np.cumsum(starts) - 1]
-    return first
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    return first[group]
 
 
 def brute_force_decode(y: ReceivedWord, codebook: Codebook) -> PreimageSet:
@@ -140,7 +136,7 @@ def verify_decoder(codebook: Codebook) -> VerificationReport:
     params = codebook.params
     n = params.n
     check_rows(n, len(codebook))
-    d, e = patterns_at(np.arange(n * (n + 1) // 2), n)
+    d, e = patterns_at(np.arange(pattern_count(n)), n)
     total = len(codebook) * len(d)
     step = max(1, BATCH_BITS // n)
     for start in range(0, total, step):

@@ -7,10 +7,11 @@ A word x of length n belongs to the code with parameters (n, a1, a2) iff
 The 3(n+1) parameter classes partition {0,1}^n, so some class always has at
 least 2^n / (3(n+1)) members; ``best_params`` picks the largest one.
 
-Class sizes come from an exact count over positions, O(n^2) work.  Listing
-a class is exponential: each prefix of the first n//2 positions takes the one
-bucket of ``subset_buckets`` over the last positions that completes it, into
-uint8 rows of n bytes in lexicographic order (x_1 most significant).
+Class sizes come from an exact count over positions, O(n^2) work, refused
+past ``COUNT_LIMIT``.  Listing a class is exponential, so it alone takes a
+cap: each prefix of the first n//2 positions takes the one bucket of
+``subset_buckets`` over the last positions that completes it, into uint8 rows
+of n bytes in lexicographic order (x_1 most significant).
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 
 from .core import CodeParams, Word
 
-DEFAULT_ENUM_CAP = 28
+DEFAULT_ENUM_CAP = 28  # listing: 87 MB of rows for the 3.1M words of n = 28's best class
+COUNT_LIMIT = 1 << 10  # exact counts: class_sizes(1024) takes about 0.2 s, (2048) 1-3 s
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,22 +61,22 @@ def is_member(word: Word, params: CodeParams) -> bool:
     return bit_sum % 3 == params.a1 and weighted_sum % (params.n + 1) == params.a2
 
 
-def _check_cap(n: int, cap: int | None) -> None:
-    limit = DEFAULT_ENUM_CAP if cap is None else cap
-    if n > limit:
-        raise ValueError(f"exhaustive enumeration of 2^{n} words exceeds the cap n <= {limit}")
+def check_count(n: int) -> None:
+    """Refuse n < 3 and n > ``COUNT_LIMIT``, the lengths the exact counts take."""
+    if n < 3:
+        raise ValueError(f"n must be >= 3, got {n}")
+    if n > COUNT_LIMIT:
+        raise ValueError(f"exact counts at n = {n} exceed the count limit n <= {COUNT_LIMIT}")
 
 
-def class_sizes(n: int, cap: int | None = None) -> np.ndarray:
+def class_sizes(n: int) -> np.ndarray:
     """Sizes of all 3(n+1) parameter classes, indexed [a1, a2].
 
     Counts words one position at a time: setting x_i = 1 moves a word from
-    class (a1, a2) to (a1 + 1, a2 + i).  The counts are exact
-    Python ints (an object array), so no width limits n.
+    class (a1, a2) to (a1 + 1, a2 + i).  The counts are exact Python ints
+    (an object array), so no width limits n; time does, hence ``COUNT_LIMIT``.
     """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    _check_cap(n, cap)
+    check_count(n)
     counts = np.zeros((3, n + 1), dtype=object)
     counts[0, 0] = 1
     for i in range(1, n + 1):
@@ -114,7 +116,9 @@ def enumerate_codebook(params: CodeParams, cap: int | None = None) -> Codebook:
     the last positions; all prefixes' buckets are gathered at once.
     """
     n, m = params.n, params.n + 1
-    _check_cap(n, cap)
+    limit = DEFAULT_ENUM_CAP if cap is None else cap
+    if n > limit:
+        raise ValueError(f"exhaustive enumeration of 2^{n} words exceeds the cap n <= {limit}")
     high = n // 2
     order, start = subset_buckets(range(n, high, -1), m)
     prefix_key = subset_keys(range(high, 0, -1), m)
@@ -129,13 +133,13 @@ def enumerate_codebook(params: CodeParams, cap: int | None = None) -> Codebook:
     return Codebook(params, bits)
 
 
-def best_params(n: int, cap: int | None = None) -> CodeParams:
+def best_params(n: int) -> CodeParams:
     """Parameters of the largest class; ties broken by smallest (a1, a2).
 
     By pigeonhole the winner has at least 2^n / (3(n+1)) members.
     """
     # argmax takes the first maximum in row-major, i.e. (a1, a2), order
-    a1, a2 = divmod(int(class_sizes(n, cap).argmax()), n + 1)
+    a1, a2 = divmod(int(class_sizes(n).argmax()), n + 1)
     return CodeParams(n, a1, a2)
 
 

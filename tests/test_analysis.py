@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from ordel import analysis
 from ordel.analysis import (
     bounds_csv,
     bounds_table,
@@ -15,7 +16,7 @@ from ordel.analysis import (
 )
 from ordel.channel import CorruptionPattern, corrupt
 from ordel.core import Word
-from ordel.vt_code import class_sizes
+from ordel.vt_code import COUNT_LIMIT, class_sizes
 
 
 def runs_by_blocks(bits) -> int:
@@ -132,9 +133,19 @@ class TestRunStats:
         scalar_total = sum(runs_by_blocks(bits) for bits in product((0, 1), repeat=n))
         assert run_stats(n).total_runs == scalar_total
 
-    def test_cap_refusal(self):
-        with pytest.raises(ValueError, match="cap"):
-            run_stats(29)
+    def test_at_the_count_limit(self):
+        stats = run_stats(COUNT_LIMIT)
+        assert stats.words == 2**COUNT_LIMIT
+        assert stats.total_runs * 2 == (COUNT_LIMIT + 1) * 2**COUNT_LIMIT
+        assert 0 < stats.high_run_count < stats.words
+
+    def test_refuses_past_the_count_limit_before_any_tally(self, monkeypatch):
+        def no_tally(*args):
+            raise AssertionError("a binomial was counted")
+
+        monkeypatch.setattr(analysis.math, "comb", no_tally)
+        with pytest.raises(ValueError, match=f"count limit n <= {COUNT_LIMIT}"):
+            run_stats(COUNT_LIMIT + 1)
 
     @pytest.mark.parametrize("n", [64, 100])
     def test_high_run_count_matches_dp(self, n):
@@ -150,7 +161,7 @@ class TestRunStats:
             by_runs = nxt
         threshold = run_threshold(n)
         expected = sum(c for (_, runs), c in by_runs.items() if runs >= threshold)
-        stats = run_stats(n, cap=n)
+        stats = run_stats(n)
         assert 0 < stats.high_run_count == expected < 2**n
         assert stats.total_runs == sum(runs * c for (_, runs), c in by_runs.items())
 

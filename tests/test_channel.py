@@ -1,7 +1,7 @@
 """Corruption map, pattern enumeration, and the seeded pattern sampler."""
 
 import random
-from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from ordel.channel import (
     corrupt_batch,
     corrupt_symbols,
     draw_pattern,
+    pattern_count,
     patterns_at,
 )
 from ordel.core import Word, parse_word
@@ -125,7 +126,7 @@ class TestPatternsAt:
             if n <= 40:
                 assert list(zip(d.tolist(), e.tolist())) == [(p.d, p.e) for p in all_patterns(n)]
 
-    def test_at_the_largest_n_decode_batch_accepts(self):
+    def test_at_the_largest_n_pattern_count_accepts(self):
         # n + 1 = 2^31 - 1, so n(n+1)/2 is about 2^61.  The pairs sit at block
         # ends, where the float root comes out one too high for about a third
         # of them; index(d, e) counts the patterns before (d, e)
@@ -138,6 +139,16 @@ class TestPatternsAt:
         assert index[0] == 0 and index[-1] == n * (n + 1) // 2 - 1
         d, e = patterns_at(np.array(index), n)
         assert list(zip(d.tolist(), e.tolist())) == pairs
+        assert pattern_count(n) == n * (n + 1) // 2
+
+    def test_refuses_n_past_the_int64_pattern_index_limit(self):
+        # n + 1 < 2^31 keeps n(n+1)/2 below 2^62, where the int64 root is
+        # exact, with room to spare; n = 2^31 - 1 is the first n refused
+        n = 2**31 - 1
+        with pytest.raises(ValueError, match=r"n \+ 1 < 2\^31"):
+            pattern_count(n)
+        with pytest.raises(ValueError, match=r"n \+ 1 < 2\^31"):
+            patterns_at(np.array([0]), n)
 
 
 class TestRandomPattern:
@@ -155,13 +166,20 @@ class TestRandomPattern:
             assert 1 <= p.d <= p.e <= 10
 
     def test_uniform_over_valid_patterns(self):
-        # 10^6 draws over the 55 patterns at n = 10; each count must sit
-        # within 5 sigma of N/55 where sigma = sqrt(N p (1-p)) ~ 133.6
-        n, draws = 10, 10**6
-        rng = random.Random(12345)
-        counts = Counter((p.d, p.e) for p in (draw_pattern(rng, n) for _ in range(draws)))
-        assert len(counts) == 55
-        expected = draws / 55
-        sigma = (draws * (1 / 55) * (54 / 55)) ** 0.5
-        for pair, got in counts.items():
-            assert abs(got - expected) <= 5 * sigma, (pair, got, expected)
+        # a stub rng walks every (d, e) of the n x n square once; if each valid
+        # pattern is accepted from exactly one cell, uniform randint draws give
+        # every pattern the same probability, and nothing else is drawn
+        class SquareWalk:
+            def __init__(self, n):
+                cells = product(range(1, n + 1), repeat=2)
+                self.values = iter([v for cell in cells for v in cell])
+
+            def randint(self, lo, hi):
+                assert (lo, hi) == (1, n)
+                return next(self.values)
+
+        for n in (3, 4, 10, 57):
+            rng = SquareWalk(n)
+            drawn = [draw_pattern(rng, n) for _ in range(n * (n + 1) // 2)]
+            assert drawn == all_patterns(n)
+            assert next(rng.values, None) is None

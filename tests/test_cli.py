@@ -15,7 +15,7 @@ import pytest
 import ordel
 from ordel import vt_code
 from ordel.cli import run
-from ordel.vt_code import class_sizes
+from ordel.vt_code import COUNT_LIMIT, class_sizes
 
 
 def invoke(capsys, *argv):
@@ -155,7 +155,7 @@ class TestVerify:
     def test_all_params_refused_before_listing_classes(self, capsys):
         status, out, err = invoke(capsys, "verify", "--n", str(10**12), "--all-params")
         assert (status, out) == (1, "")
-        assert "cap" in err
+        assert "count limit" in err
 
     def test_passes_at_n17(self, capsys):
         # the sweeps handle |C| * n(n+1)/2, |C| * n(n+1)/2 and |C| * n rows
@@ -188,11 +188,21 @@ class TestVerify:
         assert (status, out) == (1, "")
         assert "row cap" in err
 
-    def test_enumeration_cap_names_no_flag(self, capsys):
-        # verify has no --cap, so its refusal past n = 28 offers none
-        status, out, err = invoke(capsys, "verify", "--n", "29")
+    @pytest.mark.parametrize("n", [29, COUNT_LIMIT])
+    def test_row_cap_from_n29_to_the_count_limit(self, capsys, monkeypatch, n):
+        # past the enumeration cap the exact class size still exists, so the
+        # refusal is the row cap's, and no class is listed
+        monkeypatch.setattr(vt_code, "enumerate_codebook", None)
+        status, out, err = invoke(capsys, "verify", "--n", str(n))
         assert (status, out) == (1, "")
-        assert "cap n <= 28" in err and "raise" not in err
+        assert err.startswith("error: the sweeps need ") and "row cap 4194304" in err
+
+    def test_refuses_past_the_count_limit(self, capsys):
+        status, out, err = invoke(capsys, "verify", "--n", str(COUNT_LIMIT + 1))
+        assert (status, out) == (1, "")
+        assert err == (
+            f"error: exact counts at n = {COUNT_LIMIT + 1} exceed the count limit n <= {COUNT_LIMIT}\n"
+        )
 
 
 class TestBounds:
@@ -269,6 +279,7 @@ class TestSimulate:
     @pytest.mark.parametrize("n", [2**31 - 1, 10**21])
     @pytest.mark.parametrize("cls", [[], ["--a1", "0", "--a2", "0"]])
     def test_n_past_the_int32_limit_is_a_usage_error(self, capsys, n, cls):
+        # n + 1 < 2^31 is the int64 pattern-index limit of channel.pattern_count
         status, out, err = invoke(capsys, "simulate", "--n", str(n), "--trials", "1", "--seed", "1", *cls)
         assert (status, out) == (1, "")
         assert "n + 1 < 2^31" in err
@@ -291,7 +302,26 @@ class TestRuns:
         )
 
     def test_cap_refusal(self, capsys):
-        assert invoke(capsys, "runs", "--n", "29")[0] == 1
+        # runs counts and lists nothing, so it takes no --cap
+        status, out, err = invoke(capsys, "runs", "--n", "8", "--cap", "28")
+        assert (status, out) == (1, "")
+        assert "No such option" in err and "--cap" in err
+
+    def test_report_past_28(self, capsys):
+        status, out, _ = invoke(capsys, "runs", "--n", "29")
+        assert status == 0
+        assert out == (
+            "n=29 words=536870912 mean_runs=15.000000 threshold=-2.493845 "
+            "high_run_count=536870912 high_run_fraction=1.000000 "
+            "lemma_bound=0.995244 lemma_holds=yes\n"
+        )
+
+    def test_count_limit(self, capsys):
+        status, out, _ = invoke(capsys, "runs", "--n", str(COUNT_LIMIT))
+        assert status == 0 and out.startswith(f"n={COUNT_LIMIT} words={2**COUNT_LIMIT} ")
+        status, out, err = invoke(capsys, "runs", "--n", str(COUNT_LIMIT + 1))
+        assert (status, out) == (1, "")
+        assert "count limit" in err
 
 
 class TestExhaustiveOutputPinned:

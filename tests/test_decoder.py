@@ -181,9 +181,29 @@ class TestChecksumStep:
         # stepping k=1 -> 2 over y_1 = 1 with deleted-bit guess 0
         assert checksum_step(6, 1, 1, BitHypothesis(0, 0)) == 5
 
-    def test_erased_symbol_contributes_nothing(self):
-        assert checksum_step(10, 3, None, BitHypothesis(1, 0)) == 11
-        assert checksum_step(10, 3, None, BitHypothesis(0, 1)) == 10
+    def test_decode_never_steps_over_the_erased_symbol(self, monkeypatch):
+        # the scan steps from k to k + 1 only while k < e, so it reads
+        # y_1 .. y_{e-1} and never the erased y_e; that is why the erased
+        # slot can be left out of the step
+        steps = []
+        real = decoder.checksum_step
+
+        def spy(fk, k, y_k, hyp):
+            steps.append((k, y_k))
+            return real(fk, k, y_k, hyp)
+
+        monkeypatch.setattr(decoder, "checksum_step", spy)
+        rng = random.Random(8)
+        reached_last_step = 0
+        for _ in range(3000):
+            y = random_received(rng)
+            params = CodeParams(y.n, rng.randint(0, 2), rng.randint(0, y.n))
+            steps.clear()
+            decode(y, params)
+            e = y.effective_erasure
+            assert all(k < e and y_k == y.symbols[k - 1] is not None for k, y_k in steps)
+            reached_last_step += y.erasure_pos is not None and any(k == e - 1 for k, _ in steps)
+        assert reached_last_step > 100
 
     def test_guess_equal_to_symbol_cancels(self):
         for b in (0, 1):
@@ -450,11 +470,3 @@ class TestBatchLimits:
         assert int(row_sums(np.ones((1, 2), np.uint8), 2**62 - 1)[1][0]) == 2**63 - 1
         with pytest.raises(ValueError, match=r"2\^63"):
             row_sums(np.ones((1, 2), np.uint8), 2**62)
-
-    def test_kernel_refuses_n_past_the_int32_prefix_limit(self):
-        # n = 2^31 - 2 is the largest n the batch kernels take; one more is
-        # refused before any work, so a zero-stride view of the word is enough
-        n = 2**31 - 1
-        y = np.broadcast_to(np.uint8(1), (1, n - 1))
-        with pytest.raises(ValueError, match=r"n \+ 1 < 2\^31"):
-            decode_batch(y, n, 0, 0)

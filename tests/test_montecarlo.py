@@ -120,7 +120,7 @@ def test_no_class_is_empty_from_n4():
     # run_trials checks emptiness below n = 13 only; the argument in its
     # comment covers every larger n, this every n up to 100
     for n in range(4, 101):
-        assert min(class_sizes(n, cap=n).flat) > 0, n
+        assert min(class_sizes(n).flat) > 0, n
 
 
 def test_rejects_bad_arguments():
@@ -133,6 +133,7 @@ def test_rejects_bad_arguments():
 @pytest.mark.parametrize("n", [2**31 - 1, 10**21])
 @pytest.mark.parametrize("cls", [(None, None), (0, 0)])
 def test_refuses_n_past_the_int32_limit_before_any_work(monkeypatch, n, cls):
+    # n + 1 < 2^31 is the int64 pattern-index limit (channel.pattern_count),
     # refused before the completion table and the first draw, which at
     # these lengths would allocate gigabytes or overflow getrandbits
     monkeypatch.setattr(montecarlo, "_completions", None)

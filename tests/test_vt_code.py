@@ -7,9 +7,11 @@ from itertools import product
 import numpy as np
 import pytest
 
+from ordel.analysis import redundancy_upper_bound
 from ordel.core import CodeParams, Word, parse_word
 from ordel.decoder import row_sums
 from ordel.vt_code import (
+    COUNT_LIMIT,
     Codebook,
     best_params,
     class_sizes,
@@ -107,8 +109,8 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="cap"):
             enumerate_codebook(CodeParams(6, 0, 0), cap=5)
         assert len(enumerate_codebook(CodeParams(6, 0, 0), cap=6).words) > 0
-        with pytest.raises(ValueError, match="cap"):
-            class_sizes(29)
+        with pytest.raises(ValueError, match="cap n <= 28"):
+            enumerate_codebook(CodeParams(29, 0, 0))
 
 
 class TestEveryClass:
@@ -142,15 +144,119 @@ def bitwise_class_sizes(n: int) -> list[list[int]]:
     return table
 
 
+def _mul(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
+    """(a + b w)(c + d w) in Z[w], w a primitive cube root of unity: w^2 = -1 - w."""
+    (a, b), (c, d) = p, q
+    return a * c - b * d, a * d + b * c - b * d
+
+
+def _pow(p: tuple[int, int], k: int) -> tuple[int, int]:
+    result = (1, 0)
+    while k:
+        if k & 1:
+            result = _mul(result, p)
+        p, k = _mul(p, p), k >> 1
+    return result
+
+
+def _ramanujan_sum(m: int, a: int) -> int:
+    """c_m(a) = sum over d | gcd(m, a) of mu(m / d) * d."""
+
+    def mobius(k: int) -> int:
+        sign, p = 1, 2
+        while k > 1:
+            if p * p > k:
+                p = k
+            if k % p == 0:
+                k //= p
+                if k % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return sign
+
+    g = math.gcd(m, a)
+    return sum(mobius(m // d) * d for d in range(1, g + 1) if g % d == 0)
+
+
+def character_sum_sizes(n: int) -> list[list[int]]:
+    """Class sizes from the character sum over Z_3 x Z_{n+1}, exactly in Z[w].
+
+    With N = n + 1 and x = -w^u, the words' generating product over the
+    characters of order m | N is (1 - x^m)^(N/m) / (1 - x), and the sum over
+    those characters of the a2 twist is Ramanujan's c_m(a2):
+
+        |C(a1, a2)| = 1/(3N) sum_{m | N} c_m(a2) sum_{u < 3} w^(-u a1)
+                      (1 - x^m)^(N/m - 1) sum_{j < m} x^j.
+
+    It generalises Ginzburg's VT class-size formula (Sloane, "On
+    single-deletion-correcting codes", 2002) and shares nothing with the DP.
+    A size depends on a2 only through gcd(a2, N), so each (a1, gcd) is
+    evaluated once.
+    """
+    big_n = n + 1
+    omega = [(1, 0), (0, 1), (-1, -1)]
+    divisors = [m for m in range(1, big_n + 1) if big_n % m == 0]
+    terms = {}
+    for u in range(3):
+        x = (-omega[u][0], -omega[u][1])
+        for m in divisors:
+            geometric, power = (0, 0), (1, 0)
+            for _ in range(m):
+                geometric = (geometric[0] + power[0], geometric[1] + power[1])
+                power = _mul(power, x)
+            terms[u, m] = _mul(_pow((1 - power[0], -power[1]), big_n // m - 1), geometric)
+    by_gcd: dict[tuple[int, int], int] = {}
+    for a1 in range(3):
+        for g in divisors:
+            total = (0, 0)
+            for m in divisors:
+                c = _ramanujan_sum(m, g)
+                for u in range(3):
+                    t = _mul(omega[-u * a1 % 3], terms[u, m])
+                    total = (total[0] + c * t[0], total[1] + c * t[1])
+            assert total[1] == 0 and total[0] % (3 * big_n) == 0, (n, a1, g, total)
+            by_gcd[a1, g] = total[0] // (3 * big_n)
+    return [[by_gcd[a1, math.gcd(a2, big_n)] for a2 in range(big_n)] for a1 in range(3)]
+
+
 class TestClassSizes:
     @pytest.mark.parametrize("n", range(3, 41))
     def test_matches_bitwise_count(self, n):
-        assert class_sizes(n, cap=n).tolist() == bitwise_class_sizes(n)
+        assert class_sizes(n).tolist() == bitwise_class_sizes(n)
 
     def test_exact_beyond_fixed_width(self):
-        sizes = class_sizes(200, cap=200).tolist()
+        sizes = class_sizes(200).tolist()
         assert all(type(size) is int for row in sizes for size in row)
         assert sum(map(sum, sizes)) == 2**200
+
+    @pytest.mark.parametrize("n", [*range(3, 65), 255, 256, 1000, COUNT_LIMIT])
+    def test_matches_character_sum(self, n):
+        assert class_sizes(n).tolist() == character_sum_sizes(n)
+
+    def test_paper_bounds_from_exact_sizes_at_n1000(self):
+        # the best class meets the pigeonhole size, so its redundancy is at
+        # most log2(3(n+1)), the constructive bound the paper states
+        n = 1000
+        best = max(class_sizes(n).flat)
+        assert best * 3 * (n + 1) >= 2**n
+        assert n - math.log2(best) <= redundancy_upper_bound(n)
+
+
+class TestCountLimit:
+    def test_at_the_limit(self):
+        sizes = class_sizes(COUNT_LIMIT)
+        assert sizes.shape == (3, COUNT_LIMIT + 1)
+        assert sum(sizes.flat) == 2**COUNT_LIMIT
+
+    @pytest.mark.parametrize("count", [class_sizes, best_params])
+    def test_refuses_past_the_limit_before_any_count(self, monkeypatch, count):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a count step ran")
+
+        monkeypatch.setattr(np, "roll", no_step)
+        with pytest.raises(ValueError, match=f"count limit n <= {COUNT_LIMIT}"):
+            count(COUNT_LIMIT + 1)
 
 
 class TestCodebookMatrix:
