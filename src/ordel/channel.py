@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ReceivedWord, Word
+from .core import ReceivedWord, Word, prefix_mask
 
 
 @dataclass(frozen=True)
@@ -50,18 +50,17 @@ def corrupt_symbols(bits: tuple[int, ...], d: int, e: int) -> tuple[int | None, 
     return shortened[: e - 1] + (None,) + shortened[e:]
 
 
-def corrupt_batch(words: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """``corrupt`` for B words at once: a (B, n) 0/1 uint8 array, B values of d and of e.
+def corrupt_batch(words: np.ndarray, n: int, d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``corrupt`` for B packed rows (``core.pack_rows``) of length n, B values of d and of e.
 
-    Returns the (B, n-1) uint8 received words, each erased symbol stored as 0
-    (the form ``decoder.decode_batch`` takes).
+    Returns the packed received words, each erased symbol stored as 0 (the form
+    ``decoder.decode_batch`` takes): each row shifted one position left from x_d on.
     """
-    n = words.shape[1]
-    received = words[:, 1:].copy()
-    np.copyto(received, words[:, :-1], where=np.arange(n - 1) < (d - 1)[:, None])
-    hole = np.flatnonzero(e < n)
-    received[hole, e[hole] - 1] = 0
-    return received
+    shifted = words << 1
+    shifted[:, :-1] |= words[:, 1:] >> 63
+    keep, pre_e, thru_e = prefix_mask(np.stack((d - 1, e - 1, e)), words.shape[1])
+    # position e - 1 is cleared; for e = n that is position n - 1, a pad bit
+    return (words & keep | shifted & ~keep) & ~(thru_e ^ pre_e)
 
 
 def all_patterns(n: int) -> list[CorruptionPattern]:

@@ -52,6 +52,7 @@ def codebook_cmd(n: int, a1: int | None, a2: int | None, best: bool, cap: int | 
     if best:
         if a1 is not None or a2 is not None:
             raise click.UsageError("--best excludes --a1/--a2")
+        vt_code.check_cap(n, cap)  # before the exact count, which the cap makes moot
         params = vt_code.best_params(n)
     else:
         if a1 is None or a2 is None:
@@ -106,7 +107,7 @@ def verify_cmd(n: int, all_params: bool) -> None:
     if all_params:
         param_list = (CodeParams(n, a1, a2) for a1 in range(3) for a2 in range(n + 1))
     else:
-        param_list = [vt_code.best_params(n)]
+        param_list = [vt_code.best_of(sizes)]
     failed = False
     for params in param_list:
         oracle.check_rows(n, sizes[params.a1, params.a2])

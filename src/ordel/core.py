@@ -8,11 +8,18 @@ bits x_1 ... x_n, and every position argument or result (d, e, k) counts from
 Erased symbols are represented as ``None`` in memory and rendered as ``'?'``
 in all text I/O.  Every type here is an immutable value; every function is
 pure, so everything is safe to share across threads.
+
+The batch kernels take and return packed rows: a row of a length-n batch is
+W = ceil(n / 64) uint64 words, position i (from 0) in word i // 64 at bit
+63 - i % 64, so a word's top bit comes first.  Pad bits, past the row's last
+position, are always 0; a received row of n - 1 bits keeps the n-bit W.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 MIN_LENGTH = 3
 ERASURE_CHAR = "?"
@@ -54,6 +61,27 @@ class Word:
 def render_bits(bits) -> str:
     """A sequence of 0/1 ints or a 0/1 uint8 row as its '0'/'1' string."""
     return bytes(bits).translate(_DIGITS).decode()
+
+
+def pack_rows(bits: np.ndarray, n: int) -> np.ndarray:
+    """A (B, c) 0/1 uint8 array, c <= n, as B packed rows of a length-n batch."""
+    packed = np.zeros((len(bits), 8 * -(-n // 64)), np.uint8)
+    packed[:, : -(-bits.shape[1] // 8)] = np.packbits(bits, axis=1)
+    return packed.view(">u8").astype(np.uint64)
+
+
+def unpack_rows(words: np.ndarray, cols: int) -> np.ndarray:
+    """The first ``cols`` positions of packed rows, as a (B, cols) 0/1 uint8 array."""
+    return np.unpackbits(words.astype(">u8").view(np.uint8), axis=1, count=cols)
+
+
+def prefix_mask(q, width: int) -> np.ndarray:
+    """Packed rows of ``width`` words with positions 0..q-1 set, one per q >= 0."""
+    # word w keeps its first q - 64w positions: a left shift by 64 - that (numpy shifts by
+    # >= 64 to 0); prefix_mask(p + 1, width) ^ prefix_mask(p, width) sets position p alone
+    rest = np.arange(64, 64 * width + 1, 64) - np.asarray(q, np.int64)[..., None]
+    rest = np.maximum(rest, 0, out=rest).view(np.uint64)
+    return np.left_shift(np.uint64(2**64 - 1), rest, out=rest)
 
 
 @dataclass(frozen=True)

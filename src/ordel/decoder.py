@@ -24,9 +24,9 @@ symbol, so each pass costs O(n) integer ops (``checksum_step``).  Checksums
 peak near n^2 and are reduced only at comparison time; they are exact Python
 ints, so the scalar ``decode`` has no length limit of its own.
 
-``decode_batch`` runs the same two steps on a batch of received words held
-as a numpy array, with the scan as a count of 1s per row; the scalar
-``decode`` stays the reference it is tested against.
+``decode_batch`` runs the same two steps on packed rows (``core.pack_rows``, 64
+positions per uint64 word), with sums from word popcounts and the scan as a count
+of 1s per row; the scalar ``decode`` stays the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from operator import mul
 
 import numpy as np
 
-from .core import CodeParams, ReceivedWord, Word
+from .core import CodeParams, ReceivedWord, Word, pack_rows, prefix_mask
 
 NO_SYNC = "no synchronization"
 INVALID_DISCREPANCY = "invalid discrepancy"
@@ -68,10 +68,19 @@ class DecodeFailure:
     reason: str
 
 
-# word bits per batch for callers of decode_batch: BATCH_BITS // n rows at a
-# time bounds a batch's largest temporary (int64 sync positions, <= 8 bytes
-# per bit) to about 1 MB whatever n is, and keeps the numpy calls per row few
-BATCH_BITS = 1 << 17
+# packed words per batch for callers of decode_batch: BATCH_WORDS // W rows at a time bound
+# a batch's largest temporaries (8 words per row or word) to about 0.5 MB, whatever n is
+BATCH_WORDS = 1 << 13
+
+# plane t < 6 of _INDEX_BITS sets the positions of a word whose in-word index has bit t
+# set, plane 6 all of them; _BYTE_HEADS[j] sets a word's first j bytes; _SELECT[8v + r] is
+# the in-byte index of byte v's (r+1)-th 1, or 8 when it has no such 1
+_INDEX_BITS = pack_rows(np.arange(64, 128) >> np.arange(7)[:, None] & 1, 64).reshape(7, 1, 1)
+_INDEX_WEIGHTS = (1 << np.arange(6, dtype=np.uint16)).reshape(6, 1, 1)
+_BYTE_HEADS = prefix_mask(np.arange(0, 64, 8), 1)
+_BYTES = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+_SELECT = np.where(np.arange(8) < _BYTES.sum(axis=1, keepdims=True),
+                   np.argsort(_BYTES == 0, axis=1, kind="stable"), 8).ravel()
 
 # the bit guesses each discrepancy leaves, in the order the passes try them;
 # with no erasure the deleted bit is the discrepancy, the first guess
@@ -165,88 +174,83 @@ def decode(y: ReceivedWord, params: CodeParams) -> Recovered | DecodeFailure:
     return DecodeFailure(NO_SYNC)
 
 
-def row_sums(bits: np.ndarray, first_weight: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact int64 bit sums and weighted sums of the rows of a 0/1 matrix.
+def row_sums(words: np.ndarray, cols: int, first_weight: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact int64 bit sums and weighted sums of packed rows of ``cols`` positions.
 
-    Column j (from 0) weighs ``first_weight + j``.  The sums accumulate in
-    int64, exact while the largest possible weighted sum stays below 2^63;
-    past that a ValueError names the limit.
+    Position j (from 0) weighs ``first_weight + j``: a 1 in word w weighs first_weight + 64w,
+    plus 2^t if bit t of its in-word index is set, as popcounts under ``_INDEX_BITS`` count.
+    Exact while the largest possible weighted sum is below 2^63; past it a ValueError says so.
     """
-    cols = bits.shape[1]
     top = cols * first_weight + cols * (cols - 1) // 2
     if top >= 2**63:
         raise ValueError(f"weighted sums up to {top} exceed 2^63 - 1, the int64 limit")
-    weights = np.arange(first_weight, first_weight + cols, dtype=np.int64)
-    return bits.sum(axis=1, dtype=np.int64), np.einsum("ij,j->i", bits, weights)
+    counts = np.bitwise_count(_INDEX_BITS & words)
+    ones = counts[6].astype(np.int64)
+    inside = (counts[:6] * _INDEX_WEIGHTS).sum(axis=0, dtype=np.uint16)  # < 2^11 per word
+    starts = first_weight + np.arange(0, 64 * words.shape[1], 64)
+    return ones.sum(axis=1), inside.sum(axis=1, dtype=np.int64) + ones @ starts
 
 
-def _first_sync(y, e, a2, deleted, erased, weighted, bit_sum) -> np.ndarray:
-    """Per row, the smallest k in 1..e whose checksum matches a2 mod n+1, else 0.
-
-    Rows of ``y`` must be 0/1 bytes: ``y ^ deleted`` is read as bool in place.
-    """
-    rows, m = y.shape
-    modulus = m + 2
+def _first_sync(n, y, e, a2, deleted, erased, weighted) -> np.ndarray:
+    """Per row, the smallest k in 1..e whose checksum matches a2 mod n+1, else 0."""
     # checksum at k is f1 + G_{k-1}, with G_j = sum_{i<=j} (deleted - y_i) moving by 0
     # or +-1 (the guess's sign) within +-(n - 1): it first matches the residue t at
     # the c-th 1 of y ^ deleted, c = t or n + 1 - t; an erased slot's stored 0 counts
-    t = (a2 - deleted - (e + 1) * erased - weighted) % modulus
-    c = np.where(deleted == 1, t, modulus - t)
-    counts = np.where(deleted == 1, m - bit_sum, bit_sum)
-    pos = np.flatnonzero((y ^ deleted[:, None]).view(bool))
-    hit = np.flatnonzero((c >= 1) & (c <= counts))
-    k = np.zeros(rows, np.int64)
-    k[hit] = pos[(np.cumsum(counts) - counts)[hit] + c[hit] - 1] - hit * m + 2
+    t = (a2 - deleted - (e + 1) * erased - weighted) % (n + 1)
+    c = np.where(deleted == 1, t, n + 1 - t)
+    # in the first word whose running popcount reaches c, in its first byte whose count
+    # reaches the rank left.  Past the row's last 1 (the pad reads as 1s under deleted = 1)
+    # k passes e; with no c-th 1 at all the rank passes the last word's 1s, and k lands
+    # on 64W + 1 (its last byte full) or 64W + 2, past n
+    flips = y ^ (-deleted).astype(np.uint64)[:, None]  # all 1s where deleted = 1
+    ones = np.cumsum(np.bitwise_count(flips), axis=1, dtype=np.int64)
+    word = (ones[:, :-1] < c[:, None]).sum(axis=1)
+    at = np.arange(0, y.size, y.shape[1]) + word
+    chosen = flips.reshape(-1)[at]
+    rank = c - ones.reshape(-1)[at] + np.bitwise_count(chosen)
+    heads = np.bitwise_count(_BYTE_HEADS & chosen)
+    byte = (heads[1:] < np.minimum(rank, 65).astype(np.uint8)).sum(axis=0)
+    value = (chosen >> (56 - 8 * byte).astype(np.uint64) & 255).astype(np.int64)
+    r = rank - heads.reshape(-1)[byte * len(chosen) + np.arange(len(chosen))] - 1
+    k = 64 * word + 8 * byte + _SELECT[8 * value + np.minimum(r, 7)] + 2
     # G_0 = 0 matches only t = 0, at k = 1
     return np.where(t == 0, 1, np.where(k <= e, k, 0))
 
 
-def decode_batch(y: np.ndarray, e, a1, a2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def decode_batch(y: np.ndarray, n: int, e, a1, a2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``decode`` for B received words at once, row for row the same result.
 
-    ``y`` is a (B, n-1) uint8 array of 0/1 symbols with each erased symbol
-    stored as 0; ``e``, ``a1`` and ``a2`` give each row's erasure position
-    (e = n for none) and class, as arrays of B or scalars.  Returns
-    ``(words, k, status)``: the (B, n) uint8 decoded words, the insertion
-    indices, and per row the sync pass (1 or 2), or a status below 1 that
-    ``FAILURE_STATUS`` maps to the scalar failure reason.  Words and k of a
-    failed row are unspecified.
+    ``y`` holds B packed rows (``core.pack_rows``) of n - 1 symbols, each erased symbol
+    stored as 0; ``e``, ``a1`` and ``a2`` give each row's erasure position (e = n for
+    none) and class, as arrays of B or scalars.  Returns ``(words, k, status)``: the B
+    packed decoded words, the insertion indices, and per row the sync pass (1 or 2), or a
+    status below 1 that ``FAILURE_STATUS`` maps to the scalar failure reason.  Words and k
+    of a failed row are unspecified.
 
-    The steps: the discrepancy per row; the k=1 checksum f1 from one
-    weighted sum (``row_sums`` with weights 2..n); the first k <= e where
-    f1 + G_{k-1} matches a2, as the c-th 1 of y ^ deleted; a second pass,
-    guessing (deleted, erased) = (0, 1), only for erasure rows with
-    discrepancy 1 that found no k; then one masked copy rebuilds every word.
-
-    Fixed-width limits: symbols and words are one bit per uint8 byte, with no
-    packing; the int64 sums of ``row_sums`` are exact far past any n that
-    fits in memory; sync targets and positions are int64.
+    The steps: the discrepancy; the k=1 checksum f1 (``row_sums`` with weights 2..n); the
+    first k <= e where f1 + G_{k-1} matches a2, the c-th 1 of y ^ deleted; a second pass,
+    guessing (deleted, erased) = (0, 1), for erasure rows with discrepancy 1 and no k; a
+    one-bit shift and two bit sets rebuild every word.  Sums and positions are int64.
     """
-    rows, m = y.shape
-    n = m + 1
-    e, a1, a2 = (np.broadcast_to(np.asarray(v, np.int64), (rows,)) for v in (e, a1, a2))
-    bit_sum, weighted = row_sums(y, 2)
+    rows, width = y.shape
+    e, a1, a2 = (np.full(rows, v, np.int64) for v in (e, a1, a2))
+    bit_sum, weighted = row_sums(y, n - 1, 2)
     disc = (a1 - bit_sum) % 3
     erasure = e < n
-    deleted = (disc > 0).astype(np.uint8)
-    erased = (erasure & (disc == 2)).astype(np.uint8)
-    k = _first_sync(y, e, a2, deleted, erased, weighted, bit_sum)
+    deleted = (disc > 0).astype(np.int64)
+    erased = (erasure & (disc == 2)).astype(np.int64)
+    k = _first_sync(n, y, e, a2, deleted, erased, weighted)
     status = (k > 0).astype(np.int8)
     status[~erasure & (disc == 2)] = -1
     retry = np.flatnonzero(erasure & (disc == 1) & (k == 0))
-    if retry.size:
-        deleted[retry] = 0
-        erased[retry] = 1
-        k2 = _first_sync(y[retry], e[retry], a2[retry], deleted[retry], erased[retry],
-                         weighted[retry], bit_sum[retry])
-        k[retry] = k2
-        status[retry] = np.where(k2 > 0, 2, 0)
-    # z_i = y_i before k, the deleted guess at k, y_{i-1} after it, and the
-    # erased guess in the slot after e, where the stored 0 of y_e lands
-    words = np.zeros((rows, n), np.uint8)
-    words[:, 1:] = y
-    np.copyto(words[:, :-1], y, where=np.arange(m) < (k - 1)[:, None])
-    words[np.arange(rows), k - 1] = deleted
-    hole = np.flatnonzero(erasure)
-    words[hole, e[hole]] = erased[hole]
-    return words, k, status
+    deleted[retry], erased[retry] = 0, 1
+    k[retry] = _first_sync(n, *(v[retry] for v in (y, e, a2, deleted, erased, weighted)))
+    status[retry] = np.where(k[retry] > 0, 2, 0)
+    # z_i = y_i before k, the deleted guess at k, y_{i-1} after it, and the erased guess in
+    # the slot after e, y_e's stored 0; a failed row (k = 0) gets no guess, its pad stays 0
+    before = k - 1
+    shifted = y >> 1
+    shifted[:, 1:] |= y[:, :-1] << 63
+    keep, through, pre_e, thru_e = prefix_mask(np.stack((before, before + 1, e, e + 1)), width)
+    guesses = (through ^ keep) * (deleted == 1)[:, None] | (thru_e ^ pre_e) * (erased == 1)[:, None]
+    return y & keep | shifted & ~through | guesses, k, status

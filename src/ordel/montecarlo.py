@@ -11,9 +11,10 @@ decodes, and compares.  Two ways to draw the codeword:
   completion positions and fill those from a table of the 2^L completions,
   rejecting with the probability that keeps members uniform (``_complete``).
 
-All randomness comes from one `random.Random(seed)` in a fixed draw order (per
-batch: ``getrandbits`` for the words' bits, for a fixed class then for their u,
-and one ``randrange`` pattern index per trial): reports repeat byte for byte.
+Words are packed rows (``core.pack_rows``).  All randomness comes from one
+`random.Random(seed)` in a fixed draw order, per batch one ``getrandbits`` call each
+for the words (64 bits per uint64 word), for a fixed class their u, and the pattern
+indices (``_draw_below``, redrawn until enough): reports repeat byte for byte.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import corrupt_batch, pattern_count, patterns_at
-from .core import CodeParams, render_bits
-from .decoder import BATCH_BITS, FAILURE_STATUS, decode_batch, row_sums
+from .core import CodeParams, prefix_mask, render_bits, unpack_rows
+from .decoder import BATCH_WORDS, FAILURE_STATUS, decode_batch, row_sums
 from .vt_code import class_sizes, subset_buckets
 
 
@@ -50,19 +51,27 @@ class TrialReport:
 
 
 def _draw_words(rng: random.Random, rows: int, n: int) -> np.ndarray:
-    """``rows`` uniform words as a (rows, n) 0/1 uint8 array, from rows * n fresh bits."""
-    count = rows * n
-    raw = rng.getrandbits(count).to_bytes((count + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(raw, np.uint8), count=count, bitorder="little")
-    return bits.reshape(rows, n)
+    """``rows`` uniform packed words of length n: one ``getrandbits`` call, the pad masked."""
+    width = -(-n // 64)
+    raw = rng.getrandbits(64 * rows * width).to_bytes(8 * rows * width, "little")
+    return np.frombuffer(raw, "<u8").reshape(rows, width) & prefix_mask(n, width)
+
+
+def _draw_below(rng: random.Random, count: int, bound: int) -> np.ndarray:
+    """``count`` uniform values below ``bound``: top k bits of words, 2^k >= bound, or redrawn."""
+    found: list[np.ndarray] = []
+    while sum(map(len, found)) < count:
+        top = _draw_words(rng, count, 64)[:, 0] >> np.uint64(64 - (bound - 1).bit_length())
+        found.append(top[top < bound].astype(np.int64))
+    return np.concatenate(found)[:count]
 
 
 def _completions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The completion table at length n: (cols, order, start, k).
+    """The completion table at length n: (spots, order, start, k).
 
-    ``cols`` are the 0-based columns of L positions: every power of two <= n,
-    whose subsets reach every weighted residue, then the smallest others.
-    Their 2^L subsets are bucketed by ``vt_code.subset_buckets``, as in class listing.
+    Row j of ``spots`` sets the j-th of L positions alone: every power of two <= n, whose
+    subsets reach every weighted residue, then the smallest others.  Their 2^L subsets
+    are bucketed by ``vt_code.subset_buckets``, as in class listing.
     """
     b = n.bit_length()
     size = min(n, max(b, min(16, b + 5)))
@@ -70,25 +79,23 @@ def _completions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     cols = np.array(sorted(others + [1 << j for j in range(b)]))
     order, start = subset_buckets(cols, n + 1)
     k = int(np.diff(start).max() - 1).bit_length()  # 2^k >= the largest bucket
-    return cols - 1, order, start, k
+    return prefix_mask(cols, -(-n // 64)) ^ prefix_mask(cols - 1, -(-n // 64)), order, start, k
 
 
-def _complete(table, words: np.ndarray, u: np.ndarray, a1: int, a2: int) -> np.ndarray:
-    """The members that rows (free bits, u) select, in row order; a pure function.
+def _complete(table, words: np.ndarray, n: int, u: np.ndarray, a1: int, a2: int) -> np.ndarray:
+    """The members that packed rows (free bits, u) select, in row order; a pure function.
 
-    A row is kept iff u < the size of the bucket its bits outside ``cols`` need,
-    completed by the bucket's entry u: one (free bits, u) per member, so uniform.
+    A row is kept iff u < the size of the bucket its bits outside the spots need, completed
+    by the bucket's entry u, whose bits pick spots (summed by a matmul, as bits are distinct):
+    one (free bits, u) per member, so uniform.
     """
-    cols, order, start, _ = table
-    m = words.shape[1] + 1
-    free = words.copy()
-    free[:, cols] = 0
-    bit_sum, weighted = row_sums(free, 1)
-    key = (a1 - bit_sum) % 3 * m + (a2 - weighted) % m
+    spots, order, start, _ = table
+    free = words & ~np.bitwise_or.reduce(spots)
+    bit_sum, weighted = row_sums(free, n, 1)
+    key = (a1 - bit_sum) % 3 * (n + 1) + (a2 - weighted) % (n + 1)
     ok = u < start[key + 1] - start[key]
-    kept = free[ok]
-    kept[:, cols] = order[start[key[ok]] + u[ok], None] >> np.arange(cols.size) & 1
-    return kept
+    fill = order[start[key[ok]] + u[ok], None] >> np.arange(len(spots)) & 1
+    return free[ok] | fill.astype(np.uint64) @ spots
 
 
 def _draw_codewords(
@@ -97,12 +104,12 @@ def _draw_codewords(
     """``count`` words and their classes (a1 values, a2 values): each word's own, or a1/a2."""
     if a1 is None:
         words = _draw_words(rng, count, n)
-        bit_sum, weighted = row_sums(words, 1)
+        bit_sum, weighted = row_sums(words, n, 1)
         return words, bit_sum % 3, weighted % (n + 1)
     found: list[np.ndarray] = []
     while sum(map(len, found)) < count:  # count words, then their k-bit values of u
-        words, u_bits = _draw_words(rng, count, n), _draw_words(rng, count, table[3])
-        found.append(_complete(table, words, u_bits @ (1 << np.arange(table[3])), a1, a2))
+        words, u = _draw_words(rng, count, n), _draw_below(rng, count, 1 << table[3])
+        found.append(_complete(table, words, n, u, a1, a2))
     return np.concatenate(found)[:count], np.full(count, a1), np.full(count, a2)
 
 
@@ -115,13 +122,13 @@ def run_trials(
 ) -> TrialReport:
     """Round-trip `trials` random corruptions at length n; count decode failures.
 
-    Trials run in batches of BATCH_BITS // n words through ``corrupt_batch``
-    and ``decode_batch``; the first failing trial, if any, is described by
-    what the kernel returned for it: the decoded word, or its failure reason.
+    Trials run in batches of BATCH_WORDS // ceil(n / 64) words through ``corrupt_batch``
+    and ``decode_batch``; the first failing trial, if any, is described by what the
+    kernel returned for it: the decoded word, or its failure reason.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    patterns = pattern_count(n)
+    pattern_count(n)  # refuses n + 1 >= 2^31 before any table or draw
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if (a1 is None) != (a2 is None):
@@ -135,20 +142,19 @@ def run_trials(
             raise ValueError(f"class (n={n}, a1={a1}, a2={a2}) is empty: no word has both residues")
         mode, table = f"rejection(a1={a1},a2={a2})", _completions(n)
     rng = random.Random(seed)
-    rows = max(1, BATCH_BITS // n)
+    rows = max(1, BATCH_WORDS // -(-n // 64))
     failures = 0
     first_failure: str | None = None
     for done in range(0, trials, rows):
         count = min(rows, trials - done)
         words, s1, s2 = _draw_codewords(rng, n, count, a1, a2, table)
-        d, e = patterns_at([rng.randrange(patterns) for _ in range(count)], n)
-        decoded, _, status = decode_batch(corrupt_batch(words, d, e), e, s1, s2)
+        d, e = patterns_at(_draw_below(rng, count, pattern_count(n)), n)
+        decoded, _, status = decode_batch(corrupt_batch(words, n, d, e), n, e, s1, s2)
         bad = np.flatnonzero((status < 1) | (decoded != words).any(axis=1))
         failures += bad.size
         if bad.size and first_failure is None:
             i = bad[0]
-            got = render_bits(decoded[i]) if status[i] > 0 else FAILURE_STATUS[status[i]]
-            first_failure = (
-                f"x={render_bits(words[i])} d={d[i]} e={e[i]} a1={s1[i]} a2={s2[i]} got={got}"
-            )
+            x, z = unpack_rows(np.stack((words[i], decoded[i])), n)
+            got = render_bits(z) if status[i] > 0 else FAILURE_STATUS[status[i]]
+            first_failure = f"x={render_bits(x)} d={d[i]} e={e[i]} a1={s1[i]} a2={s2[i]} got={got}"
     return TrialReport(n, trials, seed, mode, failures, first_failure)

@@ -6,11 +6,11 @@ one pass over the rows.  ``verify_code`` checks what a receiver sees: for each
 e, no word that the patterns (d, e), d <= e, make of the codewords comes from
 two of them.  ``deletion_balls_disjoint`` checks the deletion-only words.
 Nothing from ``decoder`` feeds these three and none touches checksums, so
-agreement with the decoder is genuine evidence.  The sweeps corrupt the rows
-of ``Codebook.bits`` with ``corrupt_batch``, |C| * n(n+1)/2 of them (|C| * n
-for the deletion balls); two group the received rows as (n-1)-byte records,
-and ``verify_decoder`` reports a failing row from what ``decode_batch``
-returned.  ``check_rows`` charges |C| * n(n+1)/2 rows, refusing from |C| alone.
+agreement with the decoder is genuine evidence.  The sweeps pack the rows of
+``Codebook.bits`` once and corrupt them with ``corrupt_batch``, |C| * n(n+1)/2 of
+them (|C| * n for the deletion balls); two group the received rows as uint64 keys,
+and ``verify_decoder`` reports a failing row from what ``decode_batch`` returned.
+``check_rows`` charges |C| * n(n+1)/2 rows, refusing from |C| alone, and n > 64.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import CorruptionPattern, corrupt_batch, corrupt_symbols, pattern_count, patterns_at
-from .core import ReceivedWord, Word, render_bits
-from .decoder import BATCH_BITS, FAILURE_STATUS, decode_batch
+from .core import ReceivedWord, Word, pack_rows, render_bits, unpack_rows
+from .decoder import BATCH_WORDS, FAILURE_STATUS, decode_batch
 from .vt_code import Codebook
 
 ROW_CAP = 2**22  # every class fits through n = 20 (3,496,710 rows at most), none from n = 21
@@ -59,21 +59,23 @@ class VerificationReport:
 
 
 def check_rows(n: int, size: int) -> None:
-    """Refuse sweeps over ``size`` codewords of length n past the row cap: size * n(n+1)/2."""
+    """Refuse sweeps past the row cap, size * n(n+1)/2 rows, or past one word a row (n > 64,
+    which only a hand-built codebook reaches under the cap)."""
     rows = size * pattern_count(n)
     if rows > ROW_CAP:
         raise ValueError(f"the sweeps need {rows} corrupted rows, above the row cap {ROW_CAP}")
+    if n > 64:
+        raise ValueError(f"the sweeps take one uint64 word per row, so n <= 64, got n = {n}")
 
 
-def _first_equal(codebook: Codebook, owner: np.ndarray, d: np.ndarray, e: int) -> np.ndarray:
+def _first_equal(words: np.ndarray, n: int, owner, d: np.ndarray, e: int) -> np.ndarray:
     """For each row j, the first row whose received word equals row j's.
 
-    Row j is codeword ``owner[j]`` corrupted by (d[j], e).  ``np.unique``
-    groups the (n-1)-byte records and gives each group's first row.
+    Row j is packed codeword ``words[owner[j]]`` corrupted by (d[j], e).  ``np.unique``
+    groups the rows as uint64 keys, one word each (``check_rows``), with each group's first row.
     """
-    received = corrupt_batch(codebook.bits[owner], d, np.full(len(d), e))
-    keys = received.view(f"V{codebook.params.n - 1}").ravel()
-    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    received = corrupt_batch(words[owner], n, d, np.full(len(d), e))
+    _, first, group = np.unique(received[:, 0], return_index=True, return_inverse=True)
     return first[group]
 
 
@@ -109,12 +111,12 @@ def verify_code(codebook: Codebook) -> VerificationReport:
     """
     n, size = codebook.params.n, len(codebook)
     check_rows(n, size)
-    checked = 0
+    words, checked = pack_rows(codebook.bits, n), 0
     for e in range(1, n + 1):
         # one pool per e in (d, codeword) order: all its erasures sit at e,
         # so the 0 that corrupt_batch stores collides as the marker would
         d, owner = np.divmod(np.arange(e * size), size)
-        first = _first_equal(codebook, owner, d + 1, e)
+        first = _first_equal(words, n, owner, d + 1, e)
         bad = np.flatnonzero(owner[first] != owner)
         if bad.size:
             j = int(bad[0])
@@ -128,30 +130,27 @@ def verify_code(codebook: Codebook) -> VerificationReport:
 def verify_decoder(codebook: Codebook) -> VerificationReport:
     """Round-trip every codeword through every pattern and the decoder.
 
-    Rows run in codebook x ``all_patterns`` order, BATCH_BITS // n at a time,
+    Rows run in codebook x ``all_patterns`` order, BATCH_WORDS at a time,
     through ``corrupt_batch`` and ``decode_batch``; the first failing row is
     reported with what the kernel returned for it: the decoded word, or the
     failure reason its status stands for.
     """
-    params = codebook.params
-    n = params.n
+    params, n = codebook.params, codebook.params.n
     check_rows(n, len(codebook))
     d, e = patterns_at(np.arange(pattern_count(n)), n)
-    total = len(codebook) * len(d)
-    step = max(1, BATCH_BITS // n)
-    for start in range(0, total, step):
-        word_of, pattern_of = np.divmod(np.arange(start, min(start + step, total)), len(d))
-        x, x_d, x_e = codebook.bits[word_of], d[pattern_of], e[pattern_of]
-        decoded, _, status = decode_batch(corrupt_batch(x, x_d, x_e), x_e, params.a1, params.a2)
+    words, total = pack_rows(codebook.bits, n), len(codebook) * len(d)
+    for start in range(0, total, BATCH_WORDS):
+        word_of, pattern_of = np.divmod(np.arange(start, min(start + BATCH_WORDS, total)), len(d))
+        x, x_d, x_e = words[word_of], d[pattern_of], e[pattern_of]
+        y = corrupt_batch(x, n, x_d, x_e)
+        decoded, _, status = decode_batch(y, n, x_e, params.a1, params.a2)
         bad = np.flatnonzero((status < 1) | (decoded != x).any(axis=1))
         if bad.size:
             i = bad[0]
-            got = render_bits(decoded[i]) if status[i] > 0 else FAILURE_STATUS[status[i]]
-            return VerificationReport(
-                "decoder-round-trip",
-                start + int(i) + 1,
-                f"FAIL x1={render_bits(x[i])} x2={got.replace(' ', '-')} d={x_d[i]} e={x_e[i]}",
-            )
+            x1, z = render_bits(codebook.bits[word_of[i]]), unpack_rows(decoded[[i]], n)[0]
+            got = render_bits(z) if status[i] > 0 else FAILURE_STATUS[status[i]].replace(" ", "-")
+            failure = f"FAIL x1={x1} x2={got} d={x_d[i]} e={x_e[i]}"
+            return VerificationReport("decoder-round-trip", start + int(i) + 1, failure)
     return VerificationReport("decoder-round-trip", total)
 
 
@@ -166,7 +165,7 @@ def deletion_balls_disjoint(codebook: Codebook) -> VerificationReport:
     check_rows(n, size)
     # the e = n pool in (codeword, d) order; a ball counts a codeword's distinct first rows
     owner, d = np.divmod(np.arange(size * n), n)
-    first = _first_equal(codebook, owner, d + 1, n)
+    first = _first_equal(pack_rows(codebook.bits, n), n, owner, d + 1, n)
     heads = np.sort(first.reshape(size, n), axis=1)
     ball = 1 + (heads[:, 1:] != heads[:, :-1]).sum(axis=1)
     runs = 1 + (codebook.bits[:, 1:] != codebook.bits[:, :-1]).sum(axis=1)

@@ -109,6 +109,13 @@ def _bit_rows(width: int) -> np.ndarray:
     return (np.arange(1 << width)[:, None] >> np.arange(width - 1, -1, -1) & 1).astype(np.uint8)
 
 
+def check_cap(n: int, cap: int | None = None) -> None:
+    """Refuse to list a class of length n past the cap (``DEFAULT_ENUM_CAP`` if None)."""
+    limit = DEFAULT_ENUM_CAP if cap is None else cap
+    if n > limit:
+        raise ValueError(f"exhaustive enumeration of 2^{n} words exceeds the cap n <= {limit}")
+
+
 def enumerate_codebook(params: CodeParams, cap: int | None = None) -> Codebook:
     """Collect the members of one class in lexicographic order.
 
@@ -116,9 +123,7 @@ def enumerate_codebook(params: CodeParams, cap: int | None = None) -> Codebook:
     the last positions; all prefixes' buckets are gathered at once.
     """
     n, m = params.n, params.n + 1
-    limit = DEFAULT_ENUM_CAP if cap is None else cap
-    if n > limit:
-        raise ValueError(f"exhaustive enumeration of 2^{n} words exceeds the cap n <= {limit}")
+    check_cap(n, cap)
     high = n // 2
     order, start = subset_buckets(range(n, high, -1), m)
     prefix_key = subset_keys(range(high, 0, -1), m)
@@ -138,9 +143,14 @@ def best_params(n: int) -> CodeParams:
 
     By pigeonhole the winner has at least 2^n / (3(n+1)) members.
     """
+    return best_of(class_sizes(n))
+
+
+def best_of(sizes: np.ndarray) -> CodeParams:
+    """``best_params`` from a ``class_sizes`` table already in hand."""
     # argmax takes the first maximum in row-major, i.e. (a1, a2), order
-    a1, a2 = divmod(int(class_sizes(n).argmax()), n + 1)
-    return CodeParams(n, a1, a2)
+    a1, a2 = divmod(int(sizes.argmax()), sizes.shape[1])
+    return CodeParams(sizes.shape[1] - 1, a1, a2)
 
 
 def redundancy(codebook: Codebook) -> float:

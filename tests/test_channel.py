@@ -18,7 +18,7 @@ from ordel.channel import (
     pattern_count,
     patterns_at,
 )
-from ordel.core import Word, parse_word
+from ordel.core import Word, pack_rows, parse_word, unpack_rows
 
 words = st.lists(st.integers(0, 1), min_size=3, max_size=24).map(lambda b: Word(tuple(b)))
 
@@ -92,13 +92,15 @@ class TestCorrupt:
     def test_batch_matches_corrupt_on_every_pattern(self, w):
         patterns = all_patterns(w.n)
         batch = corrupt_batch(
-            np.array([w.bits] * len(patterns), np.uint8),
+            pack_rows(np.array([w.bits] * len(patterns), np.uint8), w.n),
+            w.n,
             np.array([p.d for p in patterns]),
             np.array([p.e for p in patterns]),
         )
-        # the batch stores the erased symbol as 0
+        # the batch stores the erased symbol as 0, and leaves the pad bits 0
         expected = [[s or 0 for s in corrupt(w, p).symbols] for p in patterns]
-        assert batch.tolist() == expected
+        assert unpack_rows(batch, w.n - 1).tolist() == expected
+        assert not unpack_rows(batch, 64)[:, w.n - 1 :].any()
 
 
 class TestAllPatterns:

@@ -129,6 +129,16 @@ class TestCodebook:
         assert status == 1
         assert "cap" in err
 
+    def test_best_checks_the_cap_before_counting(self, capsys, monkeypatch):
+        # the refusal comes from the cap alone: the exact count never runs
+        def no_count(n):
+            raise AssertionError("class_sizes ran")
+
+        monkeypatch.setattr(vt_code, "class_sizes", no_count)
+        status, out, err = invoke(capsys, "codebook", "--best", "--n", "1024")
+        assert (status, out) == (1, "")
+        assert err == "error: exhaustive enumeration of 2^1024 words exceeds the cap n <= 28\n"
+
     def test_cap_can_be_lowered(self, capsys):
         status, _, err = invoke(
             capsys, "codebook", "--n", "6", "--a1", "0", "--a2", "0", "--cap", "5"
@@ -144,6 +154,18 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert len(lines) == 3
         assert all("PASS" in line for line in lines)
+
+    def test_counts_class_sizes_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return class_sizes(n)
+
+        monkeypatch.setattr(vt_code, "class_sizes", counted)
+        status, out, _ = invoke(capsys, "verify", "--n", "8")
+        assert (status, calls) == (0, [8])
+        assert out.startswith("n=8 a1=0 a2=0 code-capability: PASS")
 
     def test_all_params(self, capsys):
         status, out, _ = invoke(capsys, "verify", "--n", "4", "--all-params")

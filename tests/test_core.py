@@ -1,5 +1,6 @@
 """Value types and text encodings."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,9 +9,42 @@ from ordel.core import (
     CodeParams,
     ReceivedWord,
     Word,
+    pack_rows,
     parse_received,
     parse_word,
+    prefix_mask,
+    unpack_rows,
 )
+
+TOP = 1 << 63
+ALL = 2**64 - 1
+
+
+class TestPackedRows:
+    def test_position_i_is_word_i_div_64_bit_63_minus_i_mod_64(self):
+        bits = np.zeros((3, 130), np.uint8)
+        bits[0, 0] = bits[1, 64] = bits[2, [63, 129]] = 1
+        assert pack_rows(bits, 130).tolist() == [[TOP, 0, 0], [0, TOP, 0], [1, 0, TOP >> 1]]
+
+    def test_a_short_row_keeps_the_width_of_its_batch(self):
+        # a received row of n - 1 = 64 bits at n = 65 takes the n-bit W = 2 words
+        assert pack_rows(np.ones((1, 64), np.uint8), 65).tolist() == [[ALL, 0]]
+
+    @given(st.sampled_from([3, 63, 64, 65, 127, 128, 129, 1000]), st.data())
+    def test_round_trip_and_zero_pad(self, n, data):
+        rows = data.draw(st.lists(st.integers(0, 2**n - 1), max_size=4))
+        bits = np.array([[v >> (n - 1 - i) & 1 for i in range(n)] for v in rows], np.uint8)
+        bits = bits.reshape(-1, n)
+        words = pack_rows(bits, n)
+        assert words.shape == (len(rows), -(-n // 64)) and words.dtype == np.uint64
+        assert np.array_equal(unpack_rows(words, n), bits)
+        assert not unpack_rows(words, 64 * words.shape[1])[:, n:].any()
+
+    def test_prefix_masks_at_word_edges(self):
+        assert prefix_mask(np.array([0, 1, 63, 64, 65, 128]), 2).tolist() == [
+            [0, 0], [TOP, 0], [ALL - 1, 0], [ALL, 0], [ALL, TOP], [ALL, ALL],
+        ]
+        assert prefix_mask(200, 2).tolist() == [ALL, ALL]
 
 
 class TestWord:

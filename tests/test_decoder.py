@@ -9,8 +9,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ordel import decoder
-from ordel.channel import CorruptionPattern, all_patterns, corrupt
-from ordel.core import CodeParams, ReceivedWord, Word, parse_received, parse_word
+from ordel.channel import CorruptionPattern, all_patterns, corrupt, corrupt_batch
+from ordel.core import (
+    CodeParams,
+    ReceivedWord,
+    Word,
+    pack_rows,
+    parse_received,
+    parse_word,
+    unpack_rows,
+)
 from ordel.decoder import (
     FAILURE_STATUS,
     INVALID_DISCREPANCY,
@@ -55,8 +63,11 @@ def assert_batch_matches_decode(n: int, rows: list[tuple[ReceivedWord, int, int]
     e = [r.effective_erasure for r, _, _ in rows]
     a1 = [a1 for _, a1, _ in rows]
     a2 = [a2 for _, _, a2 in rows]
-    words, k, status = decode_batch(y, e, a1, a2)
-    assert words.shape == (len(rows), n) and k.shape == status.shape == (len(rows),)
+    packed, k, status = decode_batch(pack_rows(y, n), n, e, a1, a2)
+    words = unpack_rows(packed, n)
+    assert packed.shape == (len(rows), -(-n // 64)) and k.shape == status.shape == (len(rows),)
+    # every row, failed ones too, keeps its pad bits 0
+    assert not unpack_rows(packed, 64 * packed.shape[1])[:, n:].any()
     for i, (received, row_a1, row_a2) in enumerate(rows):
         out = decode(received, CodeParams(n, row_a1, row_a2))
         if isinstance(out, Recovered):
@@ -76,12 +87,15 @@ def count_edge_rows(n: int) -> list[tuple[ReceivedWord, int, int]]:
 
     The match is at the c-th 1 of y ^ deleted (the erased slot's stored 0
     included); per row, c is 0 (k = 1), 1, the last 1 before column e (k = e),
-    the next 1 (k > e: under deleted = 1 the erased slot itself), and one past
-    the row's last 1.
+    the next 1 (k > e: under deleted = 1 the erased slot itself), and one and
+    two past the row's last 1.  Packed, a row of n = 64W has one pad bit, read
+    as a 1 under deleted = 1: two past the last 1 is past the pad too, and a
+    row whose tail is 0s then ends in a word of 1s.
     """
     rng = random.Random(n)
     m = n - 1
-    bases = [[0] * m, [1] * m, [i % 2 for i in range(m)], [rng.randint(0, 1) for _ in range(m)]]
+    bases = [[0] * m, [1] * m, [i % 2 for i in range(m)], [rng.randint(0, 1) for _ in range(m)],
+             [1] * (m // 2) + [0] * (m - m // 2)]
     rows = []
     for bits, e, a1 in product(bases, sorted({1, n // 2, n - 1, n}), range(3)):
         symbols = list(bits)
@@ -93,7 +107,7 @@ def count_edge_rows(n: int) -> list[tuple[ReceivedWord, int, int]]:
         f1 = hypothesis_checksum(received, 1, hyp, CodeParams(n, a1, 0))
         steps = [int((s or 0) != hyp.deleted) for s in symbols]
         before_e = sum(steps[: e - 1])
-        for c in sorted({0, 1, before_e, before_e + 1, sum(steps) + 1}):
+        for c in sorted({0, 1, before_e, before_e + 1, sum(steps) + 1, min(sum(steps) + 2, n)}):
             rows.append((received, a1, (f1 + (c if hyp.deleted else -c)) % (n + 1)))
     return rows
 
@@ -411,7 +425,7 @@ class TestDecodeBatch:
             (parse_received("1?1", 4), 2, 0),  # recovered: 1001
         ]
         assert_batch_matches_decode(4, rows)
-        _, _, status = decode_batch(np.array([[1, 0, 0], [0, 1, 1]], np.uint8), 4, 0, 0)
+        _, _, status = decode_batch(pack_rows(np.array([[1, 0, 0], [0, 1, 1]], np.uint8), 4), 4, 4, 0, 0)
         assert [FAILURE_STATUS[int(s)] for s in status] == [INVALID_DISCREPANCY, NO_SYNC]
 
     @pytest.mark.parametrize("n", range(3, 10))
@@ -424,7 +438,7 @@ class TestDecodeBatch:
         ]
         assert_batch_matches_decode(n, rows)
 
-    @pytest.mark.parametrize("n", [3, 4, 1000])
+    @pytest.mark.parametrize("n", [3, 4, 64, 128, 1000])
     def test_count_edges_in_one_batch(self, n):
         rows = count_edge_rows(n)
         assert_batch_matches_decode(n, rows)
@@ -463,10 +477,34 @@ class TestDecodeBatch:
         assert_batch_matches_decode(3, [])
 
 
+class TestPackedRowsAtWordEdges:
+    """The batch kernels at word boundaries: rows of 63 to 129 bits, and 1000."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([63, 64, 65, 127, 128, 129, 1000]), st.integers(1, 8), st.data())
+    def test_kernels_match_corrupt_and_decode(self, n, count, data):
+        # all-0, all-1 and mixed rows: under a deleted-bit guess of 1 the pad reads as 1s
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        density = [rng.choice([0.0, 1.0, rng.random()]) for _ in range(count)]
+        bits = np.array([[int(rng.random() < p) for _ in range(n)] for p in density], np.uint8)
+        d = np.array([rng.randint(1, n) for _ in range(count)])
+        e = np.array([rng.randint(di, n) for di in d])
+        y = corrupt_batch(pack_rows(bits, n), n, d, e)
+        assert not unpack_rows(y, 64 * y.shape[1])[:, n - 1 :].any()
+        received = [corrupt(Word(tuple(b)), CorruptionPattern(int(di), int(ei)))
+                    for b, di, ei in zip(bits.tolist(), d, e)]
+        assert unpack_rows(y, n - 1).tolist() == [[s or 0 for s in r.symbols] for r in received]
+        # round trips in each word's own class, then the same rows in arbitrary classes
+        rows = [(r, *class_of(tuple(b))) for r, b in zip(received, bits.tolist())]
+        rows += [(r, rng.randint(0, 2), rng.randint(0, n)) for r in received]
+        assert_batch_matches_decode(n, rows)
+
+
 class TestBatchLimits:
     def test_int64_sum_limit(self):
         # an all-ones row weighed 2^62 - 1 and 2^62 sums to 2^63 - 1, the
         # largest int64; one more and row_sums refuses
-        assert int(row_sums(np.ones((1, 2), np.uint8), 2**62 - 1)[1][0]) == 2**63 - 1
+        ones = pack_rows(np.ones((1, 2), np.uint8), 2)
+        assert int(row_sums(ones, 2, 2**62 - 1)[1][0]) == 2**63 - 1
         with pytest.raises(ValueError, match=r"2\^63"):
-            row_sums(np.ones((1, 2), np.uint8), 2**62)
+            row_sums(ones, 2, 2**62)

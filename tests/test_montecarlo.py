@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ordel import montecarlo
-from ordel.core import CodeParams
+from ordel.core import CodeParams, pack_rows, unpack_rows
 from ordel.montecarlo import run_trials
 from ordel.vt_code import best_params, class_sizes, enumerate_codebook
 
@@ -48,7 +48,9 @@ def test_fixed_class_deterministic_for_fixed_seed():
 
 def test_fixed_class_draws_are_members_at_n1000():
     table = montecarlo._completions(1000)
-    words, s1, s2 = montecarlo._draw_codewords(random.Random(2), 1000, 100, 2, 999, table)
+    packed, s1, s2 = montecarlo._draw_codewords(random.Random(2), 1000, 100, 2, 999, table)
+    words = unpack_rows(packed, 1000)
+    assert (unpack_rows(packed, 64 * 16)[:, 1000:] == 0).all()
     weights = np.arange(1, 1001)
     assert words.shape == (100, 1000) and len({w.tobytes() for w in words}) == 100
     assert (words.sum(axis=1) % 3 == 2).all() and (words @ weights % 1001 == 999).all()
@@ -60,17 +62,19 @@ def test_sampler_selects_each_member_exactly_once(n):
     # every free prefix with every u: the accepted completions are the class,
     # each member once, so uniform (free bits, u) draws give uniform members
     table = montecarlo._completions(n)
-    cols, k = table[0], table[3]
+    cols, k = np.flatnonzero(unpack_rows(table[0], n).any(axis=0)), table[3]
     free = np.setdiff1d(np.arange(n), cols)
     assert free.size > 0
     prefixes = (np.arange(1 << free.size)[:, None] >> np.arange(free.size)) & 1
     rows = np.repeat(prefixes, 1 << k, axis=0)
-    words = np.zeros((rows.shape[0], n), np.uint8)
-    words[:, free] = rows
+    bits = np.zeros((rows.shape[0], n), np.uint8)
+    bits[:, free] = rows
+    words = pack_rows(bits, n)
     u = np.tile(np.arange(1 << k), 1 << free.size)
     for params in (best_params(n), CodeParams(n, 0, 0), CodeParams(n, 2, n)):
         before = words.copy()
-        got = Counter(map(tuple, montecarlo._complete(table, words, u, params.a1, params.a2).tolist()))
+        kept = montecarlo._complete(table, words, n, u, params.a1, params.a2)
+        got = Counter(map(tuple, unpack_rows(kept, n).tolist()))
         assert np.array_equal(words, before)
         assert got == Counter(w.bits for w in enumerate_codebook(params).words)
         assert set(got.values()) == {1}
@@ -79,7 +83,7 @@ def test_sampler_selects_each_member_exactly_once(n):
 def test_seeded_draws_cover_a_small_class_evenly():
     table = montecarlo._completions(8)
     words, _, _ = montecarlo._draw_codewords(random.Random(8), 8, 60_000, 1, 3, table)
-    counts = Counter(map(tuple, words.tolist()))
+    counts = Counter(map(tuple, unpack_rows(words, 8).tolist()))
     assert set(counts) == {w.bits for w in enumerate_codebook(CodeParams(8, 1, 3)).words}
     assert len(counts) == 9
     mean = 60_000 / 9
@@ -146,8 +150,8 @@ def test_rejected_trial_counted_and_described(monkeypatch):
     # the kernel rejects trial 3; the report gives the kernel's failure reason
     real = montecarlo.decode_batch
 
-    def reject_trial_3(y, e, a1, a2):
-        words, k, status = real(y, e, a1, a2)
+    def reject_trial_3(y, n, e, a1, a2):
+        words, k, status = real(y, n, e, a1, a2)
         status = status.copy()
         status[3] = 0
         return words, k, status
@@ -172,8 +176,8 @@ def test_rejected_trial_counted_and_described(monkeypatch):
 def test_rejected_fixed_class_trial_carries_the_class(monkeypatch):
     real = montecarlo.decode_batch
 
-    def reject_trial_2(y, e, a1, a2):
-        words, k, status = real(y, e, a1, a2)
+    def reject_trial_2(y, n, e, a1, a2):
+        words, k, status = real(y, n, e, a1, a2)
         status = status.copy()
         status[2] = 0
         return words, k, status
@@ -206,29 +210,29 @@ def test_trials_and_their_report_stay_on_rows(monkeypatch):
     assert run_trials(40, 500, seed=3, a1=2, a2=17).passed
     real = montecarlo.decode_batch
 
-    def reject_trial_3(y, e, a1, a2):
-        words, k, status = real(y, e, a1, a2)
+    def reject_trial_3(y, n, e, a1, a2):
+        words, k, status = real(y, n, e, a1, a2)
         status = status.copy()
         status[3] = 0
         return words, k, status
 
     monkeypatch.setattr(montecarlo, "decode_batch", reject_trial_3)
     report = run_trials(20, 10, seed=4)
-    assert report.first_failure == "x=00101110001101101000 d=6 e=18 a1=0 a2=6 got=no synchronization"
+    assert report.first_failure == "x=00010111000100001100 d=1 e=7 a1=1 a2=9 got=no synchronization"
 
 
 def test_report_shows_the_word_the_kernel_returned(monkeypatch):
     # the kernel "recovers" trial 3 with one bit flipped: the report shows that word
     real = montecarlo.decode_batch
 
-    def flip_trial_3(y, e, a1, a2):
-        words, k, status = real(y, e, a1, a2)
+    def flip_trial_3(y, n, e, a1, a2):
+        words, k, status = real(y, n, e, a1, a2)
         words, status = words.copy(), status.copy()
-        words[3, 0] ^= 1
+        words[3, 0] ^= np.uint64(1 << 63)  # the packed word's first position
         status[3] = 1
         return words, k, status
 
     monkeypatch.setattr(montecarlo, "decode_batch", flip_trial_3)
     report = run_trials(20, 10, seed=4)
     assert report.failures == 1
-    assert report.first_failure == "x=00101110001101101000 d=6 e=18 a1=0 a2=6 got=10101110001101101000"
+    assert report.first_failure == "x=00010111000100001100 d=1 e=7 a1=1 a2=9 got=10010111000100001100"

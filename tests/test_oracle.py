@@ -246,11 +246,11 @@ class TestVerifyDecoder:
     def test_checked_counts_rows_across_batches(self, monkeypatch):
         # the kernel rejects the first row of its third batch; the report
         # counts every row before it and shows the kernel's failure reason;
-        # 2^10 bits per batch splits the n = 13 sweep into 78-row batches
+        # 2^10 one-word rows per batch split the n = 13 sweep into 1024-row batches
         real, calls = oracle.decode_batch, []
 
-        def reject_third_batch(y, e, a1, a2):
-            words, k, status = real(y, e, a1, a2)
+        def reject_third_batch(y, n, e, a1, a2):
+            words, k, status = real(y, n, e, a1, a2)
             calls.append(len(y))
             if len(calls) == 3:
                 status = status.copy()
@@ -258,7 +258,7 @@ class TestVerifyDecoder:
             return words, k, status
 
         monkeypatch.setattr(oracle, "decode_batch", reject_third_batch)
-        monkeypatch.setattr(oracle, "BATCH_BITS", 1 << 10)
+        monkeypatch.setattr(oracle, "BATCH_WORDS", 1 << 10)
         codebook = enumerate_codebook(best_params(13))
         report = verify_decoder(codebook)
         row = calls[0] + calls[1]
@@ -274,10 +274,10 @@ class TestVerifyDecoder:
         # the kernel "recovers" row 5 with one bit flipped; the report shows that word
         real = oracle.decode_batch
 
-        def flip_row_5(y, e, a1, a2):
-            words, k, status = real(y, e, a1, a2)
+        def flip_row_5(y, n, e, a1, a2):
+            words, k, status = real(y, n, e, a1, a2)
             words, status = words.copy(), status.copy()
-            words[5, 0] ^= 1
+            words[5, 0] ^= np.uint64(1 << 63)  # the packed word's first position
             status[5] = 1
             return words, k, status
 

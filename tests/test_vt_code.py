@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ordel.analysis import redundancy_upper_bound
-from ordel.core import CodeParams, Word, parse_word
+from ordel.core import CodeParams, Word, pack_rows, parse_word
 from ordel.decoder import row_sums
 from ordel.vt_code import (
     COUNT_LIMIT,
@@ -310,7 +310,7 @@ class TestEnumerateByPrefix:
             # rows read as integers, first bit highest: strictly increasing
             # means lexicographic order with no repeats
             assert (np.diff(bits @ first_bit_high) > 0).all()
-            bit_sum, weighted = row_sums(bits, 1)
+            bit_sum, weighted = row_sums(pack_rows(bits, n), n, 1)
             assert (bit_sum % 3 == params.a1).all() and (weighted % (n + 1) == params.a2).all()
 
 
