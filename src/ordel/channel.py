@@ -58,7 +58,7 @@ def corrupt_batch(words: np.ndarray, n: int, d: np.ndarray, e: np.ndarray) -> np
     """
     shifted = words << 1
     shifted[:, :-1] |= words[:, 1:] >> 63
-    keep, pre_e, thru_e = prefix_mask(np.stack((d - 1, e - 1, e)), words.shape[1])
+    keep, pre_e, thru_e = prefix_mask((d - 1, e - 1, e), words.shape[1])
     # position e - 1 is cleared; for e = n that is position n - 1, a pad bit
     return (words & keep | shifted & ~keep) & ~(thru_e ^ pre_e)
 

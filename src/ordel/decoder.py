@@ -25,8 +25,8 @@ peak near n^2 and are reduced only at comparison time; they are exact Python
 ints, so the scalar ``decode`` has no length limit of its own.
 
 ``decode_batch`` runs the same two steps on packed rows (``core.pack_rows``, 64
-positions per uint64 word), with sums from word popcounts and the scan as a count
-of 1s per row; the scalar ``decode`` stays the reference it is tested against.
+positions per uint64 word), with sums from word popcounts and one scan per row as a
+count of 1s; the scalar ``decode`` stays the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -228,29 +228,29 @@ def decode_batch(y: np.ndarray, n: int, e, a1, a2) -> tuple[np.ndarray, np.ndarr
     of a failed row are unspecified.
 
     The steps: the discrepancy; the k=1 checksum f1 (``row_sums`` with weights 2..n); the
-    first k <= e where f1 + G_{k-1} matches a2, the c-th 1 of y ^ deleted; a second pass,
-    guessing (deleted, erased) = (0, 1), for erasure rows with discrepancy 1 and no k; a
-    one-bit shift and two bit sets rebuild every word.  Sums and positions are int64.
+    guess, where discrepancy 1 and an erasure leave two: (0, 1), the second pass, iff (1, 0)
+    cannot sync; one scan for the first k <= e where f1 + G_{k-1} matches a2, the c-th 1 of
+    y ^ deleted; a one-bit shift and two bit sets rebuild every word.  Sums and positions are int64.
     """
     rows, width = y.shape
     e, a1, a2 = (np.full(rows, v, np.int64) for v in (e, a1, a2))
     bit_sum, weighted = row_sums(y, n - 1, 2)
     disc = (a1 - bit_sum) % 3
     erasure = e < n
-    deleted = (disc > 0).astype(np.int64)
-    erased = (erasure & (disc == 2)).astype(np.int64)
+    # (1, 0) matches at the t-th 0 of y_1..y_{e-1}, if any (y_e, under pre_e, is a stored 0)
+    pre_e, thru_e = prefix_mask((e, e + 1), width)
+    zeros = e - 1 - np.bitwise_count(y & pre_e).sum(axis=1, dtype=np.int64)
+    second = erasure & (disc == 1) & ((a2 - 1 - weighted) % (n + 1) > zeros)
+    deleted = ((disc > 0) & ~second).astype(np.int64)
+    erased = (erasure & (disc == 2) | second).astype(np.int64)
     k = _first_sync(n, y, e, a2, deleted, erased, weighted)
-    status = (k > 0).astype(np.int8)
+    status = np.where(k > 0, 1 + second, 0).astype(np.int8)
     status[~erasure & (disc == 2)] = -1
-    retry = np.flatnonzero(erasure & (disc == 1) & (k == 0))
-    deleted[retry], erased[retry] = 0, 1
-    k[retry] = _first_sync(n, *(v[retry] for v in (y, e, a2, deleted, erased, weighted)))
-    status[retry] = np.where(k[retry] > 0, 2, 0)
     # z_i = y_i before k, the deleted guess at k, y_{i-1} after it, and the erased guess in
     # the slot after e, y_e's stored 0; a failed row (k = 0) gets no guess, its pad stays 0
     before = k - 1
     shifted = y >> 1
     shifted[:, 1:] |= y[:, :-1] << 63
-    keep, through, pre_e, thru_e = prefix_mask(np.stack((before, before + 1, e, e + 1)), width)
+    keep, through = prefix_mask((before, before + 1), width)
     guesses = (through ^ keep) * (deleted == 1)[:, None] | (thru_e ^ pre_e) * (erased == 1)[:, None]
     return y & keep | shifted & ~through | guesses, k, status

@@ -12,9 +12,8 @@ decodes, and compares.  Two ways to draw the codeword:
   rejecting with the probability that keeps members uniform (``_complete``).
 
 Words are packed rows (``core.pack_rows``).  All randomness comes from one
-`random.Random(seed)` in a fixed draw order, per batch one ``getrandbits`` call each
-for the words (64 bits per uint64 word), for a fixed class their u, and the pattern
-indices (``_draw_below``, redrawn until enough): reports repeat byte for byte.
+`random.Random(seed)`, per batch ``getrandbits`` calls for the words, for a fixed class
+their u, and the pattern indices, each sized to suffice: reports repeat byte for byte.
 """
 
 from __future__ import annotations
@@ -50,36 +49,42 @@ class TrialReport:
         return line
 
 
-def _draw_words(rng: random.Random, rows: int, n: int) -> np.ndarray:
-    """``rows`` uniform packed words of length n: one ``getrandbits`` call, the pad masked."""
-    width = -(-n // 64)
+def _draw_words(rng: random.Random, rows: int, width: int) -> np.ndarray:
+    """``rows`` x ``width`` uniform uint64 words from one ``getrandbits`` call."""
     raw = rng.getrandbits(64 * rows * width).to_bytes(8 * rows * width, "little")
-    return np.frombuffer(raw, "<u8").reshape(rows, width) & prefix_mask(n, width)
+    return np.frombuffer(raw, "<u8").reshape(rows, width)
+
+
+def _sized(need: int, rate: float, width: int) -> int:
+    """Draws for ``need`` rows kept at ``rate``, with 3 sd to spare, 1/``width`` of that for wider rows."""
+    return int((need + 3 * need**0.5 / width) / rate) + 1
 
 
 def _draw_below(rng: random.Random, count: int, bound: int) -> np.ndarray:
-    """``count`` uniform values below ``bound``: top k bits of words, 2^k >= bound, or redrawn."""
-    found: list[np.ndarray] = []
-    while sum(map(len, found)) < count:
-        top = _draw_words(rng, count, 64)[:, 0] >> np.uint64(64 - (bound - 1).bit_length())
-        found.append(top[top < bound].astype(np.int64))
-    return np.concatenate(found)[:count]
+    """``count`` uniform values below ``bound``: top k bits of words, 2^k >= bound, kept below it."""
+    k, found = (bound - 1).bit_length(), []
+    while (need := count - sum(map(len, found))) > 0:
+        top = _draw_words(rng, _sized(need, bound / 2**k, 1), 1)[:, 0] >> np.uint64(64 - k)
+        found.append(top[top < bound])
+    return np.concatenate(found)[:count].astype(np.int64)
 
 
 def _completions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The completion table at length n: (spots, order, start, k).
+    """The completion table at length n: (spots, order, start, M), M its largest bucket.
 
     Row j of ``spots`` sets the j-th of L positions alone: every power of two <= n, whose
     subsets reach every weighted residue, then the smallest others.  Their 2^L subsets
     are bucketed by ``vt_code.subset_buckets``, as in class listing.
     """
     b = n.bit_length()
+    if b > 22:  # the limit: 2^L entries, L = b past n = 2^15, take 0.3-0.6 s and 250 MB at L = 22
+        raise ValueError(f"n = {n} is past n < 2^22, the limit of the fixed-class completion table")
     size = min(n, max(b, min(16, b + 5)))
     others = [i for i in range(3, 3 * size) if i & (i - 1)][: size - b]
     cols = np.array(sorted(others + [1 << j for j in range(b)]))
-    order, start = subset_buckets(cols, n + 1)
-    k = int(np.diff(start).max() - 1).bit_length()  # 2^k >= the largest bucket
-    return prefix_mask(cols, -(-n // 64)) ^ prefix_mask(cols - 1, -(-n // 64)), order, start, k
+    order, start = subset_buckets(cols.tolist(), n + 1)
+    spots = np.bitwise_xor(*prefix_mask((cols, cols - 1), -(-n // 64)))
+    return spots, order, start, int((start[1:] - start[:-1]).max())
 
 
 def _complete(table, words: np.ndarray, n: int, u: np.ndarray, a1: int, a2: int) -> np.ndarray:
@@ -102,13 +107,17 @@ def _draw_codewords(
     rng: random.Random, n: int, count: int, a1: int | None, a2: int | None, table
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``count`` words and their classes (a1 values, a2 values): each word's own, or a1/a2."""
+    width = -(-n // 64)
+    inside = prefix_mask(n, width)  # a row's n positions, not its pad
     if a1 is None:
-        words = _draw_words(rng, count, n)
+        words = _draw_words(rng, count, width) & inside
         bit_sum, weighted = row_sums(words, n, 1)
         return words, bit_sum % 3, weighted % (n + 1)
-    found: list[np.ndarray] = []
-    while sum(map(len, found)) < count:  # count words, then their k-bit values of u
-        words, u = _draw_words(rng, count, n), _draw_below(rng, count, 1 << table[3])
+    # a (free bits, u) pair is kept at about the mean bucket, 2^L / 3(n + 1), over M
+    found, rate = [], len(table[1]) / (3 * n + 3) / table[3]
+    while (need := count - sum(map(len, found))) > 0:  # size words, then their u below M
+        size = _sized(need, rate, width)
+        words, u = _draw_words(rng, size, width) & inside, _draw_below(rng, size, table[3])
         found.append(_complete(table, words, n, u, a1, a2))
     return np.concatenate(found)[:count], np.full(count, a1), np.full(count, a2)
 

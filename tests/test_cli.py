@@ -306,6 +306,15 @@ class TestSimulate:
         assert (status, out) == (1, "")
         assert "n + 1 < 2^31" in err
 
+    def test_fixed_class_past_the_table_limit_is_a_usage_error(self, capsys):
+        # the first refused n, and the n whose table once ended in a MemoryError traceback
+        for n in (2**22, 2 * 10**9):
+            status, out, err = invoke(
+                capsys, "simulate", "--n", str(n), "--trials", "1", "--seed", "1", "--a1", "0", "--a2", "0"
+            )
+            assert (status, out) == (1, "")
+            assert err == f"error: n = {n} is past n < 2^22, the limit of the fixed-class completion table\n"
+
     def test_partial_class_rejected(self, capsys):
         status, _, _ = invoke(
             capsys, "simulate", "--n", "8", "--trials", "5", "--seed", "2", "--a1", "0"
@@ -398,6 +407,19 @@ def test_cli_import_binds_every_submodule():
     env = {**os.environ, "PYTHONPATH": str(Path(ordel.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
+
+def test_simulate_leaves_numpy_random_unloaded():
+    # the draws come from random.Random: loading numpy.random would add about 6 MB of RSS
+    code = (
+        "import sys; from ordel.cli import run; "
+        "run(['simulate', '--n', '64', '--trials', '200', '--seed', '1', '--a1', '0', '--a2', '0']); "
+        "run(['simulate', '--n', '1000', '--trials', '200', '--seed', '1']); "
+        "print('numpy.random' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ordel.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout.splitlines()[-1]) == (0, "False"), result.stderr
 
 
 def test_missing_subcommand_is_usage_error(capsys):

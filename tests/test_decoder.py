@@ -477,6 +477,83 @@ class TestDecodeBatch:
         assert_batch_matches_decode(3, [])
 
 
+def first_guess_row(text: str, n: int, t: int) -> tuple[ReceivedWord, int, int]:
+    """A received row with an erasure and discrepancy 1, and the a2 that puts the (1, 0)
+    guess's checksum t steps short of its first match: it matches at the t-th 0 of y."""
+    received = parse_received(text, n)
+    a1 = (sum(s or 0 for s in received.symbols) + 1) % 3
+    assert discrepancy(received, CodeParams(n, a1, 0)) == 1
+    f1 = hypothesis_checksum(received, 1, BitHypothesis(1, 0), CodeParams(n, a1, 0))
+    return received, a1, (f1 + t) % (n + 1)
+
+
+def sync_points(received: ReceivedWord, params: CodeParams, hyp: BitHypothesis) -> list[int]:
+    n, e = params.n, received.effective_erasure
+    return [k for k in range(1, e + 1) if hypothesis_checksum(received, k, hyp, params) % (n + 1) == params.a2]
+
+
+class TestPickedGuess:
+    """``decode_batch`` picks each row's guess before its one scan, from a count of 0s."""
+
+    @pytest.mark.parametrize(
+        "text, t, expected",
+        [
+            ("0110?1010", 0, (1, 1)),  # t = 0: (1, 0) matches at once, k = 1
+            ("1010110?1", 3, (8, 1)),  # the t-th 0 is y_{e-1}: k = e, the last k it may take
+            ("1111?0101", 1, (None, 2)),  # only the erased slot is a 0 before e: (0, 1) instead
+            ("0100?1101", 4, (None, 2)),  # one 0 short of t before e
+            ("1111?0101", 6, (None, 0)),  # t > e: neither guess matches
+        ],
+    )
+    def test_first_guess_at_its_edges(self, text, t, expected):
+        row = first_guess_row(text, 10, t)
+        out = decode(row[0], CodeParams(10, *row[1:]))
+        if expected[1]:
+            assert out.sync_pass == expected[1] and expected[0] in (None, out.insertion_index)
+        else:
+            assert out == DecodeFailure(NO_SYNC)
+        assert_batch_matches_decode(10, [row])
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_at_most_one_guess_syncs(self, n):
+        # (1, 0) matches iff t <= Z, the 0s of y_1..y_{e-1}, and (0, 1) iff Z < t <= e: never
+        # both, so the pick needs no order; checked on every erasure row, class and t
+        rows = []
+        for bits, e in product(product((0, 1), repeat=n - 1), range(1, n)):
+            text = "".join("?" if i == e - 1 else str(b) for i, b in enumerate(bits))
+            for t in range(n + 1):
+                received, a1, a2 = first_guess_row(text, n, t)
+                params = CodeParams(n, a1, a2)
+                first, second = (sync_points(received, params, BitHypothesis(*g)) for g in ((1, 0), (0, 1)))
+                zeros = (text[: e - 1]).count("0")
+                assert (bool(first), bool(second)) == (t <= zeros, zeros < t <= e), (text, t)
+                rows.append((received, a1, a2))
+        assert_batch_matches_decode(n, rows)
+
+    def test_one_scan_per_batch(self, monkeypatch):
+        calls = []
+        real = decoder._first_sync
+        monkeypatch.setattr(decoder, "_first_sync", lambda *args: calls.append(len(args[1])) or real(*args))
+        assert_batch_matches_decode(12, count_edge_rows(12))
+        assert calls == [len(count_edge_rows(12))]
+
+    @pytest.mark.parametrize("n", [13, 64, 129])
+    def test_one_batch_matches_its_chunks(self, n):
+        # arbitrary rows and classes: the rows' results do not depend on the batch around them
+        rng = np.random.default_rng(n)
+        y = pack_rows(rng.integers(0, 2, (8192, n - 1), dtype=np.uint8), n)
+        e = rng.integers(1, n + 1, 8192)
+        erased = e < n
+        y[erased, (e[erased] - 1) // 64] &= ~(np.uint64(1) << (63 - (e[erased] - 1) % 64).astype(np.uint64))
+        a1, a2 = rng.integers(0, 3, 8192), rng.integers(0, n + 1, 8192)
+        whole = decode_batch(y, n, e, a1, a2)
+        chunks = [decode_batch(y[i : i + 100], n, e[i : i + 100], a1[i : i + 100], a2[i : i + 100])
+                  for i in range(0, 8192, 100)]
+        for got, parts in zip(whole, zip(*chunks)):
+            assert np.array_equal(got, np.concatenate(parts))
+        assert set(whole[2].tolist()) == {-1, 0, 1, 2}
+
+
 class TestPackedRowsAtWordEdges:
     """The batch kernels at word boundaries: rows of 63 to 129 bits, and 1000."""
 

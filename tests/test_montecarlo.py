@@ -59,18 +59,19 @@ def test_fixed_class_draws_are_members_at_n1000():
 
 @pytest.mark.parametrize("n", [12, 16])
 def test_sampler_selects_each_member_exactly_once(n):
-    # every free prefix with every u: the accepted completions are the class,
-    # each member once, so uniform (free bits, u) draws give uniform members
+    # every free prefix with every u below the largest bucket M: the accepted completions
+    # are the class, each member once, so uniform (free bits, u) draws give uniform members
     table = montecarlo._completions(n)
-    cols, k = np.flatnonzero(unpack_rows(table[0], n).any(axis=0)), table[3]
+    cols, most = np.flatnonzero(unpack_rows(table[0], n).any(axis=0)), table[3]
+    assert most == np.diff(table[2]).max()
     free = np.setdiff1d(np.arange(n), cols)
     assert free.size > 0
     prefixes = (np.arange(1 << free.size)[:, None] >> np.arange(free.size)) & 1
-    rows = np.repeat(prefixes, 1 << k, axis=0)
+    rows = np.repeat(prefixes, most, axis=0)
     bits = np.zeros((rows.shape[0], n), np.uint8)
     bits[:, free] = rows
     words = pack_rows(bits, n)
-    u = np.tile(np.arange(1 << k), 1 << free.size)
+    u = np.tile(np.arange(most), 1 << free.size)
     for params in (best_params(n), CodeParams(n, 0, 0), CodeParams(n, 2, n)):
         before = words.copy()
         kept = montecarlo._complete(table, words, n, u, params.a1, params.a2)
@@ -88,6 +89,84 @@ def test_seeded_draws_cover_a_small_class_evenly():
     assert len(counts) == 9
     mean = 60_000 / 9
     assert all(abs(c - mean) <= 0.05 * mean for c in counts.values()), counts
+
+
+class WalkingRng:
+    """A stand-in for ``random.Random`` whose ``getrandbits`` returns 64-bit words whose
+    top k bits walk 0, 1, ..., 2^k - 1 and round again."""
+
+    def __init__(self, k: int):
+        self.k, self.next = k, 0
+
+    def getrandbits(self, bits: int) -> int:
+        tops = (np.arange(self.next, self.next + bits // 64) % (1 << self.k)).astype(np.uint64)
+        self.next += bits // 64
+        return int.from_bytes((tops << np.uint64(64 - self.k)).astype("<u8").tobytes(), "little")
+
+
+@pytest.mark.parametrize("bound", [3, 5, 26, 2080, 1000])
+def test_draw_below_gives_every_value_equally_often(bound):
+    # the top k bits walk every value below 2^k in turn, so every value below a bound
+    # that is not a power of two must come out equally often, in that order
+    k = (bound - 1).bit_length()
+    values = montecarlo._draw_below(WalkingRng(k), 5 * bound, bound)
+    assert values.dtype == np.int64
+    assert values.tolist() == list(range(bound)) * 5
+
+
+def test_short_first_attempts_are_made_up_by_more(monkeypatch):
+    # the first _complete call keeps only 3 members: the loop draws again, exactly
+    # count members come back, deterministically, and the first 3 are the same
+    table = montecarlo._completions(64)
+    full, _, _ = montecarlo._draw_codewords(random.Random(5), 64, 100, 0, 0, table)
+    real = montecarlo._complete
+
+    def short_first_attempt():
+        calls = []
+
+        def short_first(*args):
+            kept = real(*args)
+            calls.append(len(kept))
+            return kept[:3] if len(calls) == 1 else kept
+
+        monkeypatch.setattr(montecarlo, "_complete", short_first)
+        return montecarlo._draw_codewords(random.Random(5), 64, 100, 0, 0, table), calls
+
+    (words, s1, s2), calls = short_first_attempt()
+    assert len(calls) == 2 and calls[0] >= 100 and calls[1] >= 97
+    assert np.array_equal(words, short_first_attempt()[0][0])
+    assert words.shape == (100, 1) and len(set(words[:, 0].tolist())) == 100
+    assert np.array_equal(words[:3], full[:3]) and not np.array_equal(words, full)
+    bits = unpack_rows(words, 64)
+    assert (bits.sum(axis=1) % 3 == 0).all() and (bits @ np.arange(1, 65) % 65 == 0).all()
+    assert (s1 == 0).all() and (s2 == 0).all()
+
+
+def test_one_attempt_and_one_pattern_round_per_batch(monkeypatch):
+    # sized draws: at n = 64 a 100-trial fixed-class run draws its words, their u and
+    # its pattern indices with one getrandbits call each
+    calls = []
+    real = montecarlo._draw_words
+    monkeypatch.setattr(montecarlo, "_draw_words", lambda rng, *shape: calls.append(shape) or real(rng, *shape))
+    assert run_trials(64, 100, 1, 0, 0).passed
+    assert len(calls) == 3
+
+
+def test_refuses_n_past_the_table_limit_before_building_it(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("the completion table was built")
+
+    monkeypatch.setattr(montecarlo, "subset_buckets", no_table)
+    for n in (2**22, 2 * 10**9):  # the first refused n, and one far past it
+        with pytest.raises(ValueError, match=r"n < 2\^22, the limit of the fixed-class completion table"):
+            run_trials(n, 1, 1, 0, 0)
+    with pytest.raises(AssertionError, match="table was built"):
+        run_trials(2**22 - 1, 1, 1, 0, 0)  # the largest n it takes goes on to build it
+
+
+def test_per_word_runs_need_no_table(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_completions", None)
+    assert run_trials(2**22, 2, 1).passed
 
 
 def test_rejects_partial_class_arguments():
