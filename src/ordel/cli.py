@@ -196,7 +196,7 @@ def run(argv: list[str]) -> int:
     except click.ClickException as exc:
         _echo(f"error: {exc.format_message()}", err=True)
         return USAGE_ERROR
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # a MemoryError: a class or table past memory
         _echo(f"error: {exc}", err=True)
         return USAGE_ERROR
     except click.exceptions.Abort:

@@ -100,7 +100,7 @@ def _complete(table, words: np.ndarray, n: int, u: np.ndarray, a1: int, a2: int)
     key = (a1 - bit_sum) % 3 * (n + 1) + (a2 - weighted) % (n + 1)
     ok = u < start[key + 1] - start[key]
     fill = order[start[key[ok]] + u[ok], None] >> np.arange(len(spots)) & 1
-    return free[ok] | fill.astype(np.uint64) @ spots
+    return free[ok] | fill.view(np.uint64) @ spots  # 0/1 int64, so a view reads the same
 
 
 def _draw_codewords(

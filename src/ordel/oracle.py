@@ -6,11 +6,11 @@ one pass over the rows.  ``verify_code`` checks what a receiver sees: for each
 e, no word that the patterns (d, e), d <= e, make of the codewords comes from
 two of them.  ``deletion_balls_disjoint`` checks the deletion-only words.
 Nothing from ``decoder`` feeds these three and none touches checksums, so
-agreement with the decoder is genuine evidence.  The sweeps pack the rows of
-``Codebook.bits`` once and corrupt them with ``corrupt_batch``, |C| * n(n+1)/2 of
-them (|C| * n for the deletion balls); two group the received rows as uint64 keys,
-and ``verify_decoder`` reports a failing row from what ``decode_batch`` returned.
-``check_rows`` charges |C| * n(n+1)/2 rows, refusing from |C| alone, and n > 64.
+agreement with the decoder is genuine evidence.  The sweeps corrupt the packed rows
+of ``Codebook.rows`` with ``corrupt_batch``, |C| * n(n+1)/2 of them (|C| * n for the
+deletion balls); two group the received rows as uint64 keys, and ``verify_decoder``
+reports a failing row from what ``decode_batch`` returned; a ``FAIL`` line unpacks
+its rows.  ``check_rows`` charges |C| * n(n+1)/2 rows, refusing from |C| alone, and n > 64.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import CorruptionPattern, corrupt_batch, corrupt_symbols, pattern_count, patterns_at
-from .core import ReceivedWord, Word, pack_rows, render_bits, unpack_rows
+from .core import ReceivedWord, Word, prefix_mask, render_bits, unpack_rows
 from .decoder import BATCH_WORDS, FAILURE_STATUS, decode_batch
 from .vt_code import Codebook
 
@@ -83,13 +83,13 @@ def brute_force_decode(y: ReceivedWord, codebook: Codebook) -> PreimageSet:
     """Every (codeword, pattern) pair that corrupts to y.
 
     Each candidate z inserts a 0 or a 1 before y_d for some d <= e, with the
-    erased slot (if any) filled by a 0 or a 1; z is kept when its bytes are a
-    codebook row (each row hashed as one n-byte record) and it re-corrupts to
-    y.  Only patterns whose erasure parameter matches y are tried: the erasure
+    erased slot (if any) filled by a 0 or a 1; z is kept when its bytes are an
+    unpacked codebook row (each hashed as one n-byte record) and it re-corrupts
+    to y.  Only patterns whose erasure parameter matches y are tried: the erasure
     position is visible to a receiver, the deletion position is not.
     """
-    e, symbols = y.effective_erasure, y.symbols
-    members = set(np.ascontiguousarray(codebook.bits).view(f"V{codebook.params.n}").ravel().tolist())
+    e, symbols, n = y.effective_erasure, y.symbols, codebook.params.n
+    members = set(unpack_rows(codebook.rows, n).view(f"V{n}").ravel().tolist())
     fills = [symbols] if e == y.n else [symbols[: e - 1] + (b,) + symbols[e:] for b in (0, 1)]
     pairs = set()
     for d in range(1, e + 1):
@@ -111,7 +111,7 @@ def verify_code(codebook: Codebook) -> VerificationReport:
     """
     n, size = codebook.params.n, len(codebook)
     check_rows(n, size)
-    words, checked = pack_rows(codebook.bits, n), 0
+    words, checked = codebook.rows, 0
     for e in range(1, n + 1):
         # one pool per e in (d, codeword) order: all its erasures sit at e,
         # so the 0 that corrupt_batch stores collides as the marker would
@@ -120,7 +120,7 @@ def verify_code(codebook: Codebook) -> VerificationReport:
         bad = np.flatnonzero(owner[first] != owner)
         if bad.size:
             j = int(bad[0])
-            x1, x2 = (render_bits(codebook.bits[owner[k]]) for k in (first[j], j))
+            x1, x2 = map(render_bits, unpack_rows(words[owner[[first[j], j]]], n))
             failure = f"FAIL x1={x1} x2={x2} d={d[j] + 1} e={e}"
             return VerificationReport("code-capability", checked + j + 1, failure)
         checked += e * size
@@ -138,7 +138,7 @@ def verify_decoder(codebook: Codebook) -> VerificationReport:
     params, n = codebook.params, codebook.params.n
     check_rows(n, len(codebook))
     d, e = patterns_at(np.arange(pattern_count(n)), n)
-    words, total = pack_rows(codebook.bits, n), len(codebook) * len(d)
+    words, total = codebook.rows, len(codebook) * len(d)
     for start in range(0, total, BATCH_WORDS):
         word_of, pattern_of = np.divmod(np.arange(start, min(start + BATCH_WORDS, total)), len(d))
         x, x_d, x_e = words[word_of], d[pattern_of], e[pattern_of]
@@ -147,8 +147,8 @@ def verify_decoder(codebook: Codebook) -> VerificationReport:
         bad = np.flatnonzero((status < 1) | (decoded != x).any(axis=1))
         if bad.size:
             i = bad[0]
-            x1, z = render_bits(codebook.bits[word_of[i]]), unpack_rows(decoded[[i]], n)[0]
-            got = render_bits(z) if status[i] > 0 else FAILURE_STATUS[status[i]].replace(" ", "-")
+            x1, z = map(render_bits, unpack_rows(np.stack((x[i], decoded[i])), n))
+            got = z if status[i] > 0 else FAILURE_STATUS[status[i]].replace(" ", "-")
             failure = f"FAIL x1={x1} x2={got} d={x_d[i]} e={x_e[i]}"
             return VerificationReport("decoder-round-trip", start + int(i) + 1, failure)
     return VerificationReport("decoder-round-trip", total)
@@ -165,19 +165,20 @@ def deletion_balls_disjoint(codebook: Codebook) -> VerificationReport:
     check_rows(n, size)
     # the e = n pool in (codeword, d) order; a ball counts a codeword's distinct first rows
     owner, d = np.divmod(np.arange(size * n), n)
-    first = _first_equal(pack_rows(codebook.bits, n), n, owner, d + 1, n)
+    first = _first_equal(codebook.rows, n, owner, d + 1, n)
     heads = np.sort(first.reshape(size, n), axis=1)
     ball = 1 + (heads[:, 1:] != heads[:, :-1]).sum(axis=1)
-    runs = 1 + (codebook.bits[:, 1:] != codebook.bits[:, :-1]).sum(axis=1)
+    w = codebook.rows[:, 0]  # one word a row (check_rows): a run ends where x_i != x_{i+1}
+    runs = 1 + np.bitwise_count((w ^ w << 1) & prefix_mask(n - 1, 1))
     shared = (owner[first] != owner).reshape(size, n)
     bad = np.flatnonzero((ball != runs) | shared.any(axis=1))
     if not bad.size:
         return VerificationReport("deletion-balls", size * n)
     i = int(bad[0])
-    x2 = render_bits(codebook.bits[i])
+    j = first[i * n + np.argmax(shared[i])]  # the row that saw i's shared word first, if any
+    x1, x2 = map(render_bits, unpack_rows(codebook.rows[[owner[j], i]], n))
     if ball[i] != runs[i]:
         failure = f"FAIL x1={x2} x2={x2} d=1 e={n} ball={ball[i]} runs={runs[i]}"
     else:
-        j = first[i * n + np.argmax(shared[i])]
-        failure = f"FAIL x1={render_bits(codebook.bits[owner[j]])} x2={x2} d={d[j] + 1} e={n}"
+        failure = f"FAIL x1={x1} x2={x2} d={d[j] + 1} e={n}"
     return VerificationReport("deletion-balls", (i + 1) * n, failure)

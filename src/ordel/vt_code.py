@@ -9,9 +9,9 @@ least 2^n / (3(n+1)) members; ``best_params`` picks the largest one.
 
 Class sizes come from an exact count over positions, O(n^2) work, refused
 past ``COUNT_LIMIT``.  Listing a class is exponential, so it alone takes a
-cap: each prefix of the first n//2 positions takes the one bucket of
-``subset_buckets`` over the last positions that completes it, into uint8 rows
-of n bytes in lexicographic order (x_1 most significant).
+cap: each prefix of the first n//2 positions takes the one bucket of ``subset_buckets``
+over the last positions that completes it, into ascending packed rows (``core.pack_rows``)
+of one uint64 word each, so n <= 64 (x_1 most significant).
 """
 
 from __future__ import annotations
@@ -21,32 +21,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CodeParams, Word
+from .core import CodeParams, Word, prefix_mask, unpack_rows
 
-DEFAULT_ENUM_CAP = 28  # listing: 87 MB of rows for the 3.1M words of n = 28's best class
+DEFAULT_ENUM_CAP = 28  # listing: 23.5 MiB of rows for the 3.1M words of n = 28's best class
 COUNT_LIMIT = 1 << 10  # exact counts: class_sizes(1024) takes about 0.2 s, (2048) 1-3 s
 
 
 @dataclass(frozen=True, eq=False)
 class Codebook:
-    """All members of one parameter class, sorted: one 0/1 uint8 row per word."""
+    """All members of one parameter class, sorted: one packed row (``core.pack_rows``) per word."""
 
     params: CodeParams
-    bits: np.ndarray
+    rows: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.bits.ndim != 2 or self.bits.shape[1] != self.params.n:
-            raise ValueError(f"every codeword must have the code length {self.params.n}")
-        if self.bits.dtype != np.uint8 or self.bits.max(initial=0) > 1:
-            raise ValueError("codewords must be a uint8 matrix of 0/1 bits")
+        n, r = self.params.n, self.rows
+        pad = ~prefix_mask(n, -(-n // 64))  # or-ing the rows finds a set pad bit without a copy
+        if r.dtype != np.uint64 or r.shape[1:] != pad.shape or any(np.bitwise_or.reduce(r) & pad):
+            raise ValueError(f"codewords must be uint64 rows of the code length {n}, pad bits 0")
 
     @property
     def words(self) -> tuple[Word, ...]:
         """The rows as ``Word`` values, built anew on each access."""
-        return tuple(map(Word, map(tuple, self.bits.tolist())))
+        return tuple(map(Word, map(tuple, unpack_rows(self.rows, self.params.n).tolist())))
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return len(self.rows)
 
 
 def is_member(word: Word, params: CodeParams) -> bool:
@@ -105,20 +105,15 @@ def subset_buckets(positions, m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.argsort(key.astype(np.uint16) if 3 * m <= 1 << 16 else key, kind="stable"), start
 
 
-def _bit_rows(width: int) -> np.ndarray:
-    """Row t holds the ``width`` bits of t, most significant first, as 0/1 uint8."""
-    return (np.arange(1 << width)[:, None] >> np.arange(width - 1, -1, -1) & 1).astype(np.uint8)
-
-
 def check_cap(n: int, cap: int | None = None) -> None:
-    """Refuse to list a class of length n past the cap (``DEFAULT_ENUM_CAP`` if None)."""
-    limit = DEFAULT_ENUM_CAP if cap is None else cap
+    """Refuse n past the cap (``DEFAULT_ENUM_CAP`` if None), at most 64: one uint64 per word."""
+    limit = min(DEFAULT_ENUM_CAP if cap is None else cap, 64)
     if n > limit:
         raise ValueError(f"exhaustive enumeration of 2^{n} words exceeds the cap n <= {limit}")
 
 
 def enumerate_codebook(params: CodeParams, cap: int | None = None) -> Codebook:
-    """Collect the members of one class in lexicographic order.
+    """Collect the members of one class in lexicographic order, as ascending uint64 rows.
 
     Each prefix of the first n // 2 positions is completed by one bucket of
     the last positions; all prefixes' buckets are gathered at once.
@@ -131,12 +126,12 @@ def enumerate_codebook(params: CodeParams, cap: int | None = None) -> Codebook:
     target = (params.a1 - prefix_key // m) % 3 * m + (params.a2 - prefix_key % m) % m
     count = start[target + 1] - start[target]
     ends = np.cumsum(count)
-    # row r, of prefix p, is entry r - (ends[p] - count[p]) of p's bucket
+    # row r, of prefix p, is p's bits, then those of entry r - (ends[p] - count[p]) of p's
+    # bucket, shifted so that x_1 is the top bit
     entry = np.arange(ends[-1]) + np.repeat(start[target] - ends + count, count)
-    bits = np.empty((len(entry), n), np.uint8)
-    bits[:, :high] = np.repeat(_bit_rows(high), count, axis=0)
-    bits[:, high:] = _bit_rows(n - high)[order][entry]
-    return Codebook(params, bits)
+    rows = order[entry].view(np.uint64) << np.uint64(64 - n)
+    rows |= np.repeat(np.arange(len(count), dtype=np.uint64) << np.uint64(64 - high), count)
+    return Codebook(params, rows[:, None])
 
 
 def best_params(n: int) -> CodeParams:
@@ -166,8 +161,10 @@ def render_codebook(codebook: Codebook) -> str:
     """Text form: one header line `n=<n> a1=<a1> a2=<a2>`, then one word per line."""
     p = codebook.params
     header = f"n={p.n} a1={p.a1} a2={p.a2}".encode()
-    # each row is a newline and n digits; the one buffer is decoded once
+    # each row is a newline and n digits, unpacked 4096 rows at a time; one buffer, decoded once
     text = np.full(len(header) + len(codebook) * (p.n + 1), ord("\n"), np.uint8)
     text[: len(header)] = np.frombuffer(header, np.uint8)
-    np.add(codebook.bits, ord("0"), out=text[len(header) :].reshape(-1, p.n + 1)[:, 1:])
+    digits = text[len(header) :].reshape(-1, p.n + 1)[:, 1:]
+    for i in range(0, len(digits), 4096):
+        np.add(unpack_rows(codebook.rows[i : i + 4096], p.n), ord("0"), out=digits[i : i + 4096])
     return str(text.data, "ascii")

@@ -139,6 +139,18 @@ class TestCodebook:
         assert (status, out) == (1, "")
         assert err == "error: exhaustive enumeration of 2^1024 words exceeds the cap n <= 28\n"
 
+    def test_a_class_past_memory_is_a_usage_error(self):
+        # n = 44's subset tables have 2^22 entries and fit; its 1.3e11 row
+        # entries (971 GiB) do not, and their allocation is refused at once
+        argv = ["codebook", "--n", "44", "--a1", "0", "--a2", "0", "--cap", "44"]
+        env = {**os.environ, "PYTHONPATH": str(Path(ordel.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-m", "ordel.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.startswith("error: Unable to allocate"), result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_cap_can_be_lowered(self, capsys):
         status, _, err = invoke(
             capsys, "codebook", "--n", "6", "--a1", "0", "--a2", "0", "--cap", "5"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ordel import oracle
 from ordel.channel import CorruptionPattern, all_patterns, corrupt
-from ordel.core import CodeParams, ReceivedWord, parse_received, parse_word
+from ordel.core import CodeParams, ReceivedWord, pack_rows, parse_received, parse_word
 from ordel.decoder import Recovered, decode
 from ordel.oracle import (
     PreimageSet,
@@ -24,8 +24,8 @@ from ordel.vt_code import Codebook, best_params, enumerate_codebook
 
 
 def rows(*texts: str) -> np.ndarray:
-    """Words given as '0'/'1' strings, as the uint8 rows a ``Codebook`` holds."""
-    return np.array([[int(c) for c in t] for t in texts], np.uint8)
+    """Words given as '0'/'1' strings, as the packed rows a ``Codebook`` holds."""
+    return pack_rows(np.array([[int(c) for c in t] for t in texts], np.uint8), len(texts[0]))
 
 
 def loop_decode(y: ReceivedWord, codebook: Codebook) -> PreimageSet:
@@ -98,8 +98,7 @@ def hand_built_codebooks(draw):
     n = draw(st.integers(3, 7))
     words = draw(st.lists(st.integers(0, 2**n - 1), min_size=2, max_size=6, unique=True))
     words = draw(st.permutations(words))
-    bits = np.array([[(w >> (n - 1 - i)) & 1 for i in range(n)] for w in words], np.uint8)
-    return Codebook(CodeParams(n, 0, 0), bits)
+    return Codebook(CodeParams(n, 0, 0), np.array([[w << (64 - n)] for w in words], np.uint64))
 
 
 @st.composite
@@ -157,18 +156,21 @@ class TestBruteForceDecode:
 
     def test_unsorted_codebook(self):
         sorted_book = enumerate_codebook(best_params(7))
-        bits = sorted_book.bits
-        shuffled = Codebook(sorted_book.params, np.concatenate((bits[3:][::-1], bits[:3])))
+        words = sorted_book.rows
+        shuffled = Codebook(sorted_book.params, np.concatenate((words[3:][::-1], words[:3])))
         assert sorted(shuffled.words, key=lambda w: w.bits) == list(sorted_book.words)
         for y, expected in all_preimage_sets(sorted_book).items():
             assert brute_force_decode(y, shuffled) == expected == loop_decode(y, shuffled)
 
-    def test_rows_in_column_major_layout(self):
-        # the same rows stored column by column: no row is one contiguous record
+    def test_rows_in_a_strided_view(self):
+        # the same rows as every third word of a wider array: a view that is not contiguous
         codebook = enumerate_codebook(best_params(7))
-        columns = Codebook(codebook.params, np.asfortranarray(codebook.bits))
+        wide = np.zeros((len(codebook), 3), np.uint64)
+        wide[:, 1:2] = codebook.rows
+        strided = Codebook(codebook.params, wide[:, 1:2])
+        assert not strided.rows.flags.c_contiguous and not strided.rows.flags.f_contiguous
         for y, expected in all_preimage_sets(codebook).items():
-            assert brute_force_decode(y, columns) == expected
+            assert brute_force_decode(y, strided) == expected
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_contains_the_true_preimage(self, n):
@@ -190,7 +192,7 @@ class TestVerifyCode:
 
     def test_full_cube_fails(self):
         # all of {0,1}^3 cannot survive even a single deletion
-        cube = np.array(list(product((0, 1), repeat=3)), np.uint8)
+        cube = rows(*map("".join, product("01", repeat=3)))
         report = verify_code(Codebook(CodeParams(3, 0, 0), cube))
         assert not report.passed
         assert report.checked == 3
@@ -222,12 +224,13 @@ class TestVerifyCode:
         # 2100 rows at n = 64: 2100 * 64 * 65 / 2 = 4,368,000 rows, past the 2^22 row cap
         bits = np.random.default_rng(0).integers(0, 2, (2100, 64), dtype=np.uint8)
         with pytest.raises(ValueError, match="row cap"):
-            verify_code(Codebook(CodeParams(64, 0, 0), bits))
+            verify_code(Codebook(CodeParams(64, 0, 0), pack_rows(bits, 64)))
 
     @pytest.mark.parametrize("sweep", [verify_code, verify_decoder, deletion_balls_disjoint])
     def test_rejects_words_of_another_length(self, sweep):
+        # packed, a 5-bit word that ends in 0 is a 4-bit word; one that ends in 1 sets a pad bit
         with pytest.raises(ValueError, match="code length 4"):
-            sweep(Codebook(CodeParams(4, 2, 0), rows("10010")))
+            sweep(Codebook(CodeParams(4, 2, 0), rows("10011")))
 
 
 class TestVerifyDecoder:
@@ -293,7 +296,7 @@ class TestVerifyDecoder:
 
 
 class TestSweepsOnRows:
-    """The sweeps corrupt, hash and report uint8 rows: no scalar corrupt or decode runs."""
+    """The sweeps corrupt, hash and report packed rows: no scalar corrupt or decode runs."""
 
     @pytest.fixture(autouse=True)
     def no_scalar_paths(self, monkeypatch):
@@ -313,7 +316,7 @@ class TestSweepsOnRows:
         assert (report.passed, report.checked) == (True, per_word * len(codebook))
 
     def test_pinned_failures(self):
-        cube = Codebook(CodeParams(3, 0, 0), np.array(list(product((0, 1), repeat=3)), np.uint8))
+        cube = Codebook(CodeParams(3, 0, 0), rows(*map("".join, product("01", repeat=3))))
         shifted = Codebook(CodeParams(4, 0, 0), rows("0011", "0100"))
         overlapping = Codebook(CodeParams(4, 0, 0), rows("0001", "1000"))
         reports = [
@@ -358,6 +361,14 @@ class TestSortedSweepsEqualDictSweeps:
     @given(hand_built_codebooks())
     def test_hand_built_codebooks(self, codebook):
         self.assert_same(codebook)
+
+    @pytest.mark.parametrize("n", [63, 64])
+    def test_rows_at_the_word_edge(self, n):
+        # the runs are counted from one word a row: x_n ends the last run at n = 64, and
+        # at n = 63 the pad bit after it must not start another
+        bits = np.random.default_rng(n).integers(0, 2, (5, n), dtype=np.uint8)
+        bits[0], bits[1, ::2], bits[1, 1::2], bits[2, -1] = 1, 0, 1, 1
+        self.assert_same(Codebook(CodeParams(n, 0, 0), pack_rows(bits, n)))
 
 
 class TestDeletionBalls:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from ordel.analysis import redundancy_upper_bound
-from ordel.core import CodeParams, Word, pack_rows, parse_word
+from ordel import vt_code
+from ordel.core import CodeParams, Word, pack_rows, parse_word, unpack_rows
 from ordel.decoder import row_sums
 from ordel.vt_code import (
     COUNT_LIMIT,
@@ -112,6 +113,17 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="cap n <= 28"):
             enumerate_codebook(CodeParams(29, 0, 0))
 
+    def test_one_word_a_row_whatever_the_cap(self, monkeypatch):
+        # n = 65 is refused before any table work; n = 64 gets as far as the tables
+        def no_table(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(vt_code, "subset_buckets", no_table)
+        with pytest.raises(ValueError, match="2\\^65 words exceeds the cap n <= 64"):
+            enumerate_codebook(CodeParams(65, 0, 0), cap=65)
+        with pytest.raises(AssertionError, match="a table was built"):
+            enumerate_codebook(CodeParams(64, 0, 0), cap=64)
+
 
 class TestEveryClass:
     """Each class, row for row, is the lexicographic cube filtered by plain numpy sums.
@@ -128,7 +140,8 @@ class TestEveryClass:
         for a1 in range(3):
             for a2 in range(n + 1):
                 expected = cube[(bit_sum == a1) & (weighted == a2)]
-                assert np.array_equal(enumerate_codebook(CodeParams(n, a1, a2)).bits, expected)
+                rows = enumerate_codebook(CodeParams(n, a1, a2)).rows
+                assert np.array_equal(unpack_rows(rows, n), expected)
 
 
 def bitwise_class_sizes(n: int) -> list[list[int]]:
@@ -260,41 +273,67 @@ class TestCountLimit:
 
 
 class TestCodebookMatrix:
-    @pytest.mark.parametrize("shape", [(4,), (2, 5)], ids=["1-d", "width-5"])
-    def test_refuses_rows_of_another_shape(self, shape):
-        with pytest.raises(ValueError, match="code length 4"):
-            Codebook(CodeParams(4, 2, 0), np.zeros(shape, np.uint8))
+    @pytest.mark.parametrize(
+        "n, shape",
+        [(4, (4,)), (4, (2, 5)), (65, (2, 1))],
+        ids=["1-d", "width-5", "n65-one-word"],
+    )
+    def test_refuses_rows_of_another_shape(self, n, shape):
+        with pytest.raises(ValueError, match=f"uint64 rows of the code length {n}, pad bits 0"):
+            Codebook(CodeParams(n, 0, 0), np.zeros(shape, np.uint64))
 
     @pytest.mark.parametrize(
-        "bits",
-        [np.array([[0, 1, 1, 0], [1, 0, 0, 1]], np.int64), np.array([[0, 2, 1, 0]], np.uint8)],
-        ids=["int64", "uint8-holding-2"],
+        "rows",
+        [np.zeros((2, 1), np.int64), np.array([[0, 1, 1, 0], [1, 0, 0, 1]], np.uint8)],
+        ids=["int64", "uint8-matrix"],
     )
-    def test_refuses_what_is_not_a_uint8_matrix_of_bits(self, bits):
-        # an int64 copy of (4, 2, 0) would hash as 8-byte cells, and a 2 would render as "2"
-        with pytest.raises(ValueError, match="uint8 matrix of 0/1 bits"):
-            Codebook(CodeParams(4, 2, 0), bits)
+    def test_refuses_what_is_not_uint64_rows(self, rows):
+        # the uint8 matrix is the one-byte-per-bit form of (4, 2, 0)
+        with pytest.raises(ValueError, match="uint64 rows of the code length 4, pad bits 0"):
+            Codebook(CodeParams(4, 2, 0), rows)
+
+    def test_refuses_a_set_pad_bit(self):
+        # bit 0 of the word is position 64, past the 63 positions of n = 63
+        rows = np.array([[0], [1]], np.uint64)
+        with pytest.raises(ValueError, match="code length 63, pad bits 0"):
+            Codebook(CodeParams(63, 0, 0), rows)
+        assert len(Codebook(CodeParams(64, 0, 0), rows)) == 2
 
     @pytest.mark.parametrize("n", [3, 10, 21])
     def test_words_round_trip_bits(self, n):
         cb = enumerate_codebook(best_params(n))
-        assert cb.bits.dtype == np.uint8 and cb.bits.shape == (len(cb), n)
-        assert np.array_equal(np.array([w.bits for w in cb.words], np.uint8), cb.bits)
+        assert cb.rows.dtype == np.uint64 and cb.rows.shape == (len(cb), 1)
+        assert np.array_equal(pack_rows(np.array([w.bits for w in cb.words], np.uint8), n), cb.rows)
+
+    @pytest.mark.parametrize("n", [63, 64, 65])
+    def test_words_are_the_unpacked_rows_at_word_edges(self, n):
+        bits = np.random.default_rng(n).integers(0, 2, (20, n), dtype=np.uint8)
+        bits[0], bits[1] = 0, 1
+        cb = Codebook(CodeParams(n, 0, 0), pack_rows(bits, n))
+        unpacked = list(map(tuple, unpack_rows(cb.rows, n).tolist()))
+        assert [w.bits for w in cb.words] == unpacked == list(map(tuple, bits.tolist()))
+
+    @pytest.mark.parametrize("n", range(3, 23))
+    def test_listed_rows_ascend_with_pad_bits_0(self, n):
+        for params in (CodeParams(n, 0, 0), best_params(n), CodeParams(n, 2, n)):
+            words = enumerate_codebook(params).rows[:, 0]
+            assert not (words & np.uint64(2 ** (64 - n) - 1)).any()
+            assert (words[1:] > words[:-1]).all()
 
     def test_enumeration_peak_memory(self):
-        # 60,788 words at n = 22 take 1.3 MB as rows; the peak, about 2.5 MB,
-        # is those rows and the int64 bucket entries gathered for them
+        # 60,788 words at n = 22 take 0.46 MiB as rows; the peak, about 1.5 MiB,
+        # is those rows, the int64 bucket entries and the prefixes spread over them
         codebook, peak = traced_peak(enumerate_codebook, best_params(22))
         assert len(codebook) == 60788
         assert peak < 5 * 2**20
 
     def test_enumeration_peak_memory_at_the_cap(self):
-        # at n = 28 the 3.1M rows take 87 MB; besides them the gather holds
-        # int64 bucket entries and one half of the rows, about 1.8x in all
+        # at n = 28 the 3.1M rows take 23.5 MiB; the gather holds at most three
+        # arrays of one 8-byte entry per row at a time, about 71 MiB in all
         params = best_params(28)
         codebook, peak = traced_peak(enumerate_codebook, params)
         assert len(codebook) == class_sizes(28)[params.a1, params.a2]
-        assert peak <= 2 * codebook.bits.nbytes
+        assert peak <= 100 * 2**20
 
 
 class TestEnumerateByPrefix:
@@ -305,12 +344,13 @@ class TestEnumerateByPrefix:
         sizes = class_sizes(n)
         first_bit_high = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
         for params in (CodeParams(n, 0, 0), best_params(n), CodeParams(n, 2, n)):
-            bits = enumerate_codebook(params).bits
+            rows = enumerate_codebook(params).rows
+            bits = unpack_rows(rows, n)
             assert bits.shape == (sizes[params.a1, params.a2], n)
             # rows read as integers, first bit highest: strictly increasing
             # means lexicographic order with no repeats
             assert (np.diff(bits @ first_bit_high) > 0).all()
-            bit_sum, weighted = row_sums(pack_rows(bits, n), n, 1)
+            bit_sum, weighted = row_sums(rows, n, 1)
             assert (bit_sum % 3 == params.a1).all() and (weighted % (n + 1) == params.a2).all()
 
 
@@ -343,7 +383,7 @@ class TestRedundancy:
         p = CodeParams(3, 0, 0)
         one = enumerate_codebook(p)
         assert redundancy(one) == 3.0
-        two = Codebook(p, np.array([[0, 0, 0], [1, 0, 0]], np.uint8))
+        two = Codebook(p, pack_rows(np.array([[0, 0, 0], [1, 0, 0]], np.uint8), 3))
         assert redundancy(two) == 2.0
 
     def test_empty_codebook_rejected(self):
@@ -361,7 +401,7 @@ def test_render_codebook_format():
     text = render_codebook(enumerate_codebook(CodeParams(4, 2, 0)))
     assert text == "n=4 a1=2 a2=0\n0110\n1001"
     # an empty class (n = 3 has some) is its header line alone
-    assert render_codebook(Codebook(CodeParams(3, 0, 1), np.zeros((0, 3), np.uint8))) == "n=3 a1=0 a2=1"
+    assert render_codebook(Codebook(CodeParams(3, 0, 1), np.zeros((0, 1), np.uint64))) == "n=3 a1=0 a2=1"
 
 
 def test_render_codebook_peak_memory():
