@@ -128,8 +128,11 @@ def enumerate_codebook(params: CodeParams, cap: int | None = None) -> Codebook:
     ends = np.cumsum(count)
     # row r, of prefix p, is p's bits, then those of entry r - (ends[p] - count[p]) of p's
     # bucket, shifted so that x_1 is the top bit
-    entry = np.arange(ends[-1]) + np.repeat(start[target] - ends + count, count)
-    rows = order[entry].view(np.uint64) << np.uint64(64 - n)
+    entry = np.repeat(start[target] - ends + count, count)
+    entry += np.arange(ends[-1])
+    rows = order[entry].view(np.uint64)
+    del entry  # else a third array of one entry per row, beside the prefixes spread below
+    rows <<= np.uint64(64 - n)
     rows |= np.repeat(np.arange(len(count), dtype=np.uint64) << np.uint64(64 - high), count)
     return Codebook(params, rows[:, None])
 

@@ -348,7 +348,7 @@ class TestRuns:
         # runs counts and lists nothing, so it takes no --cap
         status, out, err = invoke(capsys, "runs", "--n", "8", "--cap", "28")
         assert (status, out) == (1, "")
-        assert "No such option" in err and "--cap" in err
+        assert err == "error: unrecognized arguments: --cap 28\n"
 
     def test_report_past_28(self, capsys):
         status, out, _ = invoke(capsys, "runs", "--n", "29")
@@ -365,6 +365,50 @@ class TestRuns:
         status, out, err = invoke(capsys, "runs", "--n", str(COUNT_LIMIT + 1))
         assert (status, out) == (1, "")
         assert "count limit" in err
+
+
+COMMANDS = ["codebook", "corrupt", "decode", "verify", "bounds", "simulate", "runs"]
+SIMULATE = ["simulate", "--n", "9", "--trials", "5", "--seed", "1"]
+
+
+class TestGrammar:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [*SIMULATE, "--bogus"],
+            ["simulate", "--tri", "5", "--n", "9", "--seed", "1"],
+            ["simulate", "--n", "9", "--seed", "1"],
+            ["simulate", "--n", "x", "--trials", "5", "--seed", "1"],
+            [*SIMULATE, "-h"],
+            ["-h"],
+            ["frobnicate"],
+            [],
+        ],
+        ids=["unknown", "abbreviated", "missing", "non-integer", "short-help", "top-short-help",
+             "unknown-command", "no-arguments"],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv):
+        status, out, err = invoke(capsys, *argv)
+        assert (status, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "argv, seed",
+        [(["--n=9", "--trials=5", "--seed=1"], 1), (["--n", "9", "--trials", "5", "--seed", "-3"], -3)],
+        ids=["equals", "negative-value"],
+    )
+    def test_accepted_forms(self, capsys, argv, seed):
+        status, out, err = invoke(capsys, "simulate", *argv)
+        assert (status, out, err) == (0, f"n=9 trials=5 seed={seed} mode=per-word-class failures=0\n", "")
+
+    @pytest.mark.parametrize("command", [[], *([name] for name in COMMANDS)], ids=["top", *COMMANDS])
+    def test_help_returns_0(self, capsys, command):
+        # run() returns: no SystemExit leaves it, though argparse's help action exits
+        status, out, err = invoke(capsys, *command, "--help")
+        assert (status, err) == (0, "")
+        assert out.startswith(" ".join(["usage: ordel", *command, "[--help]"]))
+        if not command:
+            assert all(name in out for name in COMMANDS)
 
 
 class TestExhaustiveOutputPinned:
@@ -432,6 +476,27 @@ def test_simulate_leaves_numpy_random_unloaded():
     env = {**os.environ, "PYTHONPATH": str(Path(ordel.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert (result.returncode, result.stdout.splitlines()[-1]) == (0, "False"), result.stderr
+
+
+def test_every_command_leaves_click_unloaded():
+    # numpy is the only runtime dependency
+    argvs = [
+        ["codebook", "--n", "8", "--best"],
+        ["corrupt", "--word", "10110", "--d", "2", "--e", "3"],
+        ["decode", "--received", "1?1", "--n", "4", "--a1", "2", "--a2", "0"],
+        ["verify", "--n", "6"],
+        ["bounds", "--n-list", "3,7"],
+        ["simulate", "--n", "30", "--trials", "20", "--seed", "1"],
+        ["runs", "--n", "8"],
+    ]
+    code = (
+        "import sys; from ordel.cli import run; "
+        f"statuses = [run(argv) for argv in {argvs!r}]; "
+        "print(statuses, 'click' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ordel.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout.splitlines()[-1]) == (0, f"{[0] * 7} False"), result.stderr
 
 
 def test_missing_subcommand_is_usage_error(capsys):
