@@ -1,21 +1,21 @@
 """Brute-force verification, kept independent of the decoder.
 
-``brute_force_decode`` expands y into its at most 4e candidate preimages and
-keeps those among the codebook's rows that re-corrupt to y: O(n^2) work plus
-one pass over the rows.  ``verify_code`` checks what a receiver sees: for each
-e, no word that the patterns (d, e), d <= e, make of the codewords comes from
-two of them.  ``deletion_balls_disjoint`` checks the deletion-only words.
-Nothing from ``decoder`` feeds these three and none touches checksums, so
-agreement with the decoder is genuine evidence.  The sweeps corrupt the packed rows
-of ``Codebook.rows`` with ``corrupt_batch``, |C| * n(n+1)/2 of them (|C| * n for the
-deletion balls); two group the received rows as uint64 keys, and ``verify_decoder``
-reports a failing row from what ``decode_batch`` returned; a ``FAIL`` line unpacks
-its rows.  ``check_rows`` charges |C| * n(n+1)/2 rows, refusing from |C| alone, and n > 64.
+``brute_force_decode`` inserts a bit into y once per run it could join, fills the erasure,
+and keeps the candidates that meet the class's two congruences (summed by definition) and
+re-corrupt to y: O(n^2) work, no codebook rows.  ``verify_code`` checks what a receiver sees:
+for each e, no word that the patterns (d, e), d <= e, make of the codewords comes from two of
+them.  ``deletion_balls_disjoint`` checks the deletion-only words.  Nothing from ``decoder``
+feeds these three and none touches checksums, so agreement with the decoder is genuine
+evidence.  The sweeps corrupt ``Codebook.rows`` with ``corrupt_batch``: one row per run for
+the first two (``_run_starts``), all |C| * n for the deletion balls; two group the received
+rows as uint64 keys, and ``verify_decoder`` reports what ``decode_batch`` returned for a
+failing row.  ``check_rows`` charges |C| * n(n+1)/2 rows, refusing from |C| alone, and n > 64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, product
 
 import numpy as np
 
@@ -68,6 +68,12 @@ def check_rows(n: int, size: int) -> None:
         raise ValueError(f"the sweeps take one uint64 word per row, so n <= 64, got n = {n}")
 
 
+def _run_starts(codebook: Codebook) -> np.ndarray:
+    """(|C|, n) bools, column d - 1 set where x_d starts a run: d = 1 or x_{d-1} != x_d."""
+    w = codebook.rows[:, :1]  # one word a row (check_rows)
+    return unpack_rows(w ^ w >> 1 | np.uint64(1 << 63), codebook.params.n).view(bool)
+
+
 def _first_equal(words: np.ndarray, n: int, owner, d: np.ndarray, e: int) -> np.ndarray:
     """For each row j, the first row whose received word equals row j's.
 
@@ -80,49 +86,53 @@ def _first_equal(words: np.ndarray, n: int, owner, d: np.ndarray, e: int) -> np.
 
 
 def brute_force_decode(y: ReceivedWord, codebook: Codebook) -> PreimageSet:
-    """Every (codeword, pattern) pair that corrupts to y.
+    """Every (member, pattern) pair that corrupts to y; reads only ``codebook.params``.
 
-    Each candidate z inserts a 0 or a 1 before y_d for some d <= e, with the
-    erased slot (if any) filled by a 0 or a 1; z is kept when its bytes are an
-    unpacked codebook row (each hashed as one n-byte record) and it re-corrupts
-    to y.  Only patterns whose erasure parameter matches y are tried: the erasure
-    position is visible to a receiver, the deletion position is not.
+    Each candidate z fills the erased slot (if any) and inserts a bit before y_d, d <= e: one z
+    per stretch of d where filled_d == bit, as inserting before d or d + 1 is then the same.
+    z is kept when it meets both congruences and re-corrupts to y, so a codebook that is not a
+    whole class gets its class's preimages, not its rows'.  Only e, which y shows, is tried.
     """
-    e, symbols, n = y.effective_erasure, y.symbols, codebook.params.n
-    members = set(unpack_rows(codebook.rows, n).view(f"V{n}").ravel().tolist())
-    fills = [symbols] if e == y.n else [symbols[: e - 1] + (b,) + symbols[e:] for b in (0, 1)]
-    pairs = set()
-    for d in range(1, e + 1):
-        for filled in fills:
-            for bit in (0, 1):
-                z = filled[: d - 1] + (bit,) + filled[d - 1 :]
-                if bytes(z) in members and corrupt_symbols(z, d, e) == symbols:
-                    pairs.add((Word(z), CorruptionPattern(d, e)))
+    params, e, symbols = codebook.params, y.effective_erasure, y.symbols
+    n, weights, ones, pairs = params.n, tuple(range(1, params.n + 1)), symbols.count(1), set()
+    for fill, bit in product((0, 1) if e < n else (0,), (0, 1)):
+        if y.n != n or (ones + fill + bit) % 3 != params.a1:
+            continue
+        filled = symbols[: e - 1] + (fill,) + symbols[e:] if e < n else symbols
+        cuts = [0, *compress(range(1, e), map(bit.__xor__, filled)), e]
+        for p, q in zip(cuts, cuts[1:]):
+            z = filled[:p] + (bit,) + filled[p:]
+            if sum(compress(weights, z)) % (n + 1) == params.a2:
+                word = Word(z)
+                for k in range(p + 1, q + 1):
+                    if corrupt_symbols(z, k, e) == symbols:
+                        pairs.add((word, CorruptionPattern(k, e)))
     return PreimageSet(y, frozenset(pairs))
 
 
 def verify_code(codebook: Codebook) -> VerificationReport:
     """Check that no received word can come from two different codewords.
 
-    A receiver sees the erasure position e but not the deletion position d,
-    so for each e the words of every pattern (d, e) are pooled.  Scans e,
-    then d <= e, then codewords in codebook order, so the reported violation
-    is deterministic; its d is the one that x2 takes.
+    A receiver sees the erasure position e but not the deletion position d, so for each e the
+    words of every pattern (d, e) are pooled in (d, codeword) order: the reported violation is
+    deterministic, and its d is the one x2 takes.  Only rows whose d starts a run are corrupted:
+    a word's first row and the first collision are such rows; ``checked`` counts every row.
     """
     n, size = codebook.params.n, len(codebook)
     check_rows(n, size)
-    words, checked = codebook.rows, 0
+    words, checked, starts = codebook.rows, 0, _run_starts(codebook).T.copy()
     for e in range(1, n + 1):
         # one pool per e in (d, codeword) order: all its erasures sit at e,
         # so the 0 that corrupt_batch stores collides as the marker would
-        d, owner = np.divmod(np.arange(e * size), size)
+        d, owner = np.divmod(np.flatnonzero(starts[:e]), size)
         first = _first_equal(words, n, owner, d + 1, e)
         bad = np.flatnonzero(owner[first] != owner)
         if bad.size:
             j = int(bad[0])
             x1, x2 = map(render_bits, unpack_rows(words[owner[[first[j], j]]], n))
             failure = f"FAIL x1={x1} x2={x2} d={d[j] + 1} e={e}"
-            return VerificationReport("code-capability", checked + j + 1, failure)
+            checked += int(d[j] * size + owner[j]) + 1  # the row's place in the full order
+            return VerificationReport("code-capability", checked, failure)
         checked += e * size
     return VerificationReport("code-capability", checked)
 
@@ -130,17 +140,17 @@ def verify_code(codebook: Codebook) -> VerificationReport:
 def verify_decoder(codebook: Codebook) -> VerificationReport:
     """Round-trip every codeword through every pattern and the decoder.
 
-    Rows run in codebook x ``all_patterns`` order, BATCH_WORDS at a time,
-    through ``corrupt_batch`` and ``decode_batch``; the first failing row is
-    reported with what the kernel returned for it: the decoded word, or the
-    failure reason its status stands for.
+    Rows whose d starts a run go in codebook x ``all_patterns`` order, BATCH_WORDS at a time,
+    through ``corrupt_batch`` and ``decode_batch``, a row-wise function of (y, e, a1, a2), so
+    any failing row has a failing run start before it; the first is reported with what the
+    kernel returned for it: the decoded word, or the failure reason its status stands for.
     """
     params, n = codebook.params, codebook.params.n
     check_rows(n, len(codebook))
     d, e = patterns_at(np.arange(pattern_count(n)), n)
-    words, total = codebook.rows, len(codebook) * len(d)
-    for start in range(0, total, BATCH_WORDS):
-        word_of, pattern_of = np.divmod(np.arange(start, min(start + BATCH_WORDS, total)), len(d))
+    rows, words = np.flatnonzero(_run_starts(codebook)[:, d - 1]), codebook.rows
+    for row in np.split(rows, range(BATCH_WORDS, len(rows), BATCH_WORDS)):
+        word_of, pattern_of = np.divmod(row, len(d))
         x, x_d, x_e = words[word_of], d[pattern_of], e[pattern_of]
         y = corrupt_batch(x, n, x_d, x_e)
         decoded, _, status = decode_batch(y, n, x_e, params.a1, params.a2)
@@ -150,8 +160,8 @@ def verify_decoder(codebook: Codebook) -> VerificationReport:
             x1, z = map(render_bits, unpack_rows(np.stack((x[i], decoded[i])), n))
             got = z if status[i] > 0 else FAILURE_STATUS[status[i]].replace(" ", "-")
             failure = f"FAIL x1={x1} x2={got} d={x_d[i]} e={x_e[i]}"
-            return VerificationReport("decoder-round-trip", start + int(i) + 1, failure)
-    return VerificationReport("decoder-round-trip", total)
+            return VerificationReport("decoder-round-trip", int(row[i]) + 1, failure)
+    return VerificationReport("decoder-round-trip", len(codebook) * len(d))
 
 
 def deletion_balls_disjoint(codebook: Codebook) -> VerificationReport:

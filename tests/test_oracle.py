@@ -1,5 +1,6 @@
 """Brute-force verification machinery and its agreement with the decoder."""
 
+import random
 from collections import defaultdict
 from itertools import product
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ordel import oracle
+from ordel import montecarlo, oracle
 from ordel.channel import CorruptionPattern, all_patterns, corrupt
 from ordel.core import CodeParams, ReceivedWord, pack_rows, parse_received, parse_word
 from ordel.decoder import Recovered, decode
@@ -20,7 +21,7 @@ from ordel.oracle import (
     verify_code,
     verify_decoder,
 )
-from ordel.vt_code import Codebook, best_params, enumerate_codebook
+from ordel.vt_code import Codebook, best_params, enumerate_codebook, is_member
 
 
 def rows(*texts: str) -> np.ndarray:
@@ -71,6 +72,25 @@ def dict_verify_code(codebook: Codebook) -> VerificationReport:
     return VerificationReport("code-capability", checked)
 
 
+def loop_verify_decoder(codebook: Codebook, failing: ReceivedWord) -> VerificationReport:
+    """Reference: every (codeword, pattern) row in order, where rows that corrupt to
+    ``failing`` do not synchronize and every other row decodes."""
+    patterns = all_patterns(codebook.params.n)
+    for i, x in enumerate(codebook.words):
+        for j, pattern in enumerate(patterns):
+            if corrupt(x, pattern) == failing:
+                failure = f"FAIL x1={x} x2=no-synchronization d={pattern.d} e={pattern.e}"
+                return VerificationReport("decoder-round-trip", i * len(patterns) + j + 1, failure)
+    return VerificationReport("decoder-round-trip", len(codebook) * len(patterns))
+
+
+def filtered_codebook(n: int, keep) -> Codebook:
+    """The words of {0,1}^n whose (bit sum, weighted sum) pass ``keep``, in ascending order."""
+    bits = np.array(list(product((0, 1), repeat=n)), np.uint8)
+    kept = bits[keep(bits.sum(axis=1), bits @ np.arange(1, n + 1))]
+    return Codebook(CodeParams(n, 0, 0), pack_rows(kept, n))
+
+
 def dict_deletion_balls(codebook: Codebook) -> VerificationReport:
     """Reference: each codeword's ball as a set, then its words into one dict, in row order."""
     n, words = codebook.params.n, codebook.words
@@ -102,9 +122,9 @@ def hand_built_codebooks(draw):
 
 
 @st.composite
-def received_words(draw):
-    """Any received word: any length, any symbols, an erasure anywhere or none."""
-    n = draw(st.integers(3, 12))
+def received_words(draw, max_n=12):
+    """Any received word: any length up to ``max_n``, any symbols, an erasure anywhere or none."""
+    n = draw(st.integers(3, max_n))
     symbols = draw(st.lists(st.integers(0, 1), min_size=n - 1, max_size=n - 1))
     erasure_pos = draw(st.none() | st.integers(1, n - 1))
     if erasure_pos is not None:
@@ -133,18 +153,27 @@ class TestBruteForceDecode:
         assert pre.candidates == {(word, CorruptionPattern(2, 4)), (word, CorruptionPattern(3, 4))}
         assert pre == loop_decode(y, codebook)
 
+    @staticmethod
+    def run_start_rows(codebook: Codebook) -> int:
+        """The (codeword, d <= e) rows whose d starts a run: a start at d pairs with n - d + 1 e."""
+        n = codebook.params.n
+        return int((oracle._run_starts(codebook) * np.arange(n, 0, -1)).sum())
+
     @pytest.mark.parametrize("n", range(3, 10))
     def test_equals_loop_on_every_class(self, n):
+        # and one run-start row per distinct received word, as the sweeps rely on
         for a1 in range(3):
             for a2 in range(n + 1):
                 codebook = enumerate_codebook(CodeParams(n, a1, a2))
-                for y, expected in all_preimage_sets(codebook).items():
-                    assert brute_force_decode(y, codebook) == expected
+                expected = all_preimage_sets(codebook)
+                assert self.run_start_rows(codebook) == len(expected)
+                for y, pre in expected.items():
+                    assert brute_force_decode(y, codebook) == pre
 
     def test_equals_loop_on_best_class_n13(self):
         codebook = enumerate_codebook(best_params(13))
         expected = all_preimage_sets(codebook)
-        assert len(expected) == 10163
+        assert len(expected) == self.run_start_rows(codebook) == 10163
         for y, pre in expected.items():
             assert brute_force_decode(y, codebook) == pre
 
@@ -153,6 +182,29 @@ class TestBruteForceDecode:
         a2 = data.draw(st.integers(0, y.n))
         codebook = enumerate_codebook(CodeParams(y.n, a1, a2))
         assert brute_force_decode(y, codebook) == loop_decode(y, codebook)
+
+    @given(received_words(max_n=40), st.integers(0, 2), st.data())
+    def test_candidates_are_members_that_corrupt_to_y(self, y, a1, data):
+        # no rows: the oracle reads the class from the parameters; by the code's guarantee
+        # y has at most one preimage, and the decoder finds it
+        params = CodeParams(y.n, a1, data.draw(st.integers(0, y.n)))
+        pre = brute_force_decode(y, Codebook(params, np.zeros((0, 1), np.uint64)))
+        for word, pattern in pre.candidates:
+            assert is_member(word, params) and corrupt(word, pattern) == y
+        out = decode(y, params)
+        assert pre.words == ((out.word,) if isinstance(out, Recovered) else ())
+
+    @pytest.mark.parametrize("n, count", [(64, 16), (128, 16), (200, 16), (1000, 2)])
+    def test_round_trips_past_the_listing(self, n, count):
+        # fixed-class members drawn at sizes no class listing reaches, one seeded pattern each
+        params = CodeParams(n, 1, n // 3)
+        table = montecarlo._completions(n)
+        words, _, _ = montecarlo._draw_codewords(random.Random(n), n, count, 1, n // 3, table)
+        codebook, rng = Codebook(params, words), random.Random(-n)
+        for x in codebook.words:
+            d = rng.randint(1, n)
+            y = corrupt(x, CorruptionPattern(d, rng.randint(d, n)))
+            assert brute_force_decode(y, codebook).words == (decode(y, params).word,) == (x,)
 
     def test_unsorted_codebook(self):
         sorted_book = enumerate_codebook(best_params(7))
@@ -220,6 +272,22 @@ class TestVerifyCode:
         report = verify_code(enumerate_codebook(CodeParams(3, 0, 0)))
         assert report.passed
 
+    @pytest.mark.parametrize(
+        "keep, expected",
+        [
+            # plain VT: weighted sum 0 mod n + 1, bit sum free; (d, e) = (4, 4) takes both
+            # 1s of 00011000, so only the bit sums, 0 and 2, tell it from 00000000
+            (lambda s, w: w % 9 == 0, (274, "FAIL x1=00000000 x2=00011000 d=4 e=4")),
+            # the bit sum mod 2: x_d + x_{e+1} takes three values, and here 1 and 3 agree
+            (lambda s, w: (s % 2 == 1) & (w % 9 == 1), (133, "FAIL x1=10000000 x2=10011000 d=4 e=4")),
+        ],
+    )
+    def test_negative_controls(self, keep, expected):
+        # the sweep fails each construction without the bit sum mod 3
+        codebook = filtered_codebook(8, keep)
+        got, want = verify_code(codebook), dict_verify_code(codebook)
+        assert (got.checked, got.render()) == (want.checked, want.render()) == expected
+
     def test_step_cap_refusal(self):
         # 2100 rows at n = 64: 2100 * 64 * 65 / 2 = 4,368,000 rows, past the 2^22 row cap
         bits = np.random.default_rng(0).integers(0, 2, (2100, 64), dtype=np.uint8)
@@ -247,9 +315,10 @@ class TestVerifyDecoder:
         assert report.render() == "FAIL x1=0001 x2=no-synchronization d=1 e=1"
 
     def test_checked_counts_rows_across_batches(self, monkeypatch):
-        # the kernel rejects the first row of its third batch; the report
-        # counts every row before it and shows the kernel's failure reason;
-        # 2^10 one-word rows per batch split the n = 13 sweep into 1024-row batches
+        # the kernel rejects the first row of its third batch; the report counts
+        # that row's place among all codebook x all_patterns rows and shows the
+        # kernel's failure reason; 2^10 one-word rows per batch split the n = 13
+        # sweep's run-start rows into 1024-row batches
         real, calls = oracle.decode_batch, []
 
         def reject_third_batch(y, n, e, a1, a2):
@@ -264,14 +333,41 @@ class TestVerifyDecoder:
         monkeypatch.setattr(oracle, "BATCH_WORDS", 1 << 10)
         codebook = enumerate_codebook(best_params(13))
         report = verify_decoder(codebook)
-        row = calls[0] + calls[1]
         patterns = all_patterns(13)
-        x, pattern = codebook.words[row // len(patterns)], patterns[row % len(patterns)]
+        # the rows the sweep decodes: those whose d starts a run of x
+        kept = [
+            (i * len(patterns) + j, x, p)
+            for i, x in enumerate(codebook.words)
+            for j, p in enumerate(patterns)
+            if p.d == 1 or x.bits[p.d - 2] != x.bits[p.d - 1]
+        ]
+        assert calls[:2] == [1 << 10, 1 << 10] and len(kept) > 2 << 10
+        row, x, pattern = kept[calls[0] + calls[1]]
+        assert row > calls[0] + calls[1]
         assert report.checked == row + 1
         assert report.render() == (
             f"FAIL x1={x.render()} x2=no-synchronization d={pattern.d} e={pattern.e}"
         )
 
+    def test_failing_received_word_reports_the_first_row(self, monkeypatch):
+        # the kernel fails every row with one chosen (y, e); whichever row of a run it
+        # came from, the report names the first such row of the full order, as a loop
+        # over every row does; 16-row batches put the rows across many kernel calls
+        real, failing = oracle.decode_batch, None
+
+        def fail_one_word(y, n, e, a1, a2):
+            words, k, status = real(y, n, e, a1, a2)
+            status = np.where((y[:, 0] == failing[0]) & (e == failing[1]), 0, status)
+            return words, k, status
+
+        monkeypatch.setattr(oracle, "decode_batch", fail_one_word)
+        monkeypatch.setattr(oracle, "BATCH_WORDS", 16)
+        codebook = enumerate_codebook(best_params(7))
+        for y in sorted(all_preimage_sets(codebook), key=str):
+            symbols = np.array([[s or 0 for s in y.symbols]], np.uint8)
+            failing = pack_rows(symbols, 7)[0, 0], y.effective_erasure
+            got, want = verify_decoder(codebook), loop_verify_decoder(codebook, y)
+            assert (got.checked, got.render()) == (want.checked, want.render())
 
     def test_reports_the_word_the_kernel_returned(self, monkeypatch):
         # the kernel "recovers" row 5 with one bit flipped; the report shows that word
