@@ -4,12 +4,12 @@
 and keeps the candidates that meet the class's two congruences (summed by definition) and
 re-corrupt to y: O(n^2) work, no codebook rows.  ``verify_code`` checks what a receiver sees:
 for each e, no word that the patterns (d, e), d <= e, make of the codewords comes from two of
-them.  ``deletion_balls_disjoint`` checks the deletion-only words.  Nothing from ``decoder``
-feeds these three and none touches checksums, so agreement with the decoder is genuine
-evidence.  The sweeps corrupt ``Codebook.rows`` with ``corrupt_batch``: one row per run for
-the first two (``_run_starts``), all |C| * n for the deletion balls; two group the received
-rows as uint64 keys, and ``verify_decoder`` reports what ``decode_batch`` returned for a
-failing row.  ``check_rows`` charges |C| * n(n+1)/2 rows, refusing from |C| alone, and n > 64.
+them.  ``deletion_balls_disjoint`` checks the deletion-only words, the e = n pool.  Nothing
+from ``decoder`` feeds these three and none touches checksums, so agreement with the decoder
+is genuine evidence.  All three sweeps corrupt one row of ``Codebook.rows`` per run
+(``_run_starts``) with ``corrupt_batch``; two group the received rows as uint64 keys, and
+``verify_decoder`` reports what ``decode_batch`` returned for a failing row.  ``check_rows``
+charges |C| * n(n+1)/2 rows, refusing from |C| alone, and n > 64.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from itertools import compress, product
 import numpy as np
 
 from .channel import CorruptionPattern, corrupt_batch, corrupt_symbols, pattern_count, patterns_at
-from .core import ReceivedWord, Word, prefix_mask, render_bits, unpack_rows
+from .core import ReceivedWord, Word, render_bits, unpack_rows
 from .decoder import BATCH_WORDS, FAILURE_STATUS, decode_batch
 from .vt_code import Codebook
 
@@ -94,9 +94,11 @@ def brute_force_decode(y: ReceivedWord, codebook: Codebook) -> PreimageSet:
     whole class gets its class's preimages, not its rows'.  Only e, which y shows, is tried.
     """
     params, e, symbols = codebook.params, y.effective_erasure, y.symbols
+    if y.n != params.n:
+        raise ValueError(f"received word implies n={y.n}, code has n={params.n}")
     n, weights, ones, pairs = params.n, tuple(range(1, params.n + 1)), symbols.count(1), set()
     for fill, bit in product((0, 1) if e < n else (0,), (0, 1)):
-        if y.n != n or (ones + fill + bit) % 3 != params.a1:
+        if (ones + fill + bit) % 3 != params.a1:
             continue
         filled = symbols[: e - 1] + (fill,) + symbols[e:] if e < n else symbols
         cuts = [0, *compress(range(1, e), map(bit.__xor__, filled)), e]
@@ -167,28 +169,23 @@ def verify_decoder(codebook: Codebook) -> VerificationReport:
 def deletion_balls_disjoint(codebook: Codebook) -> VerificationReport:
     """Check single-deletion neighborhoods are pairwise disjoint across the codebook.
 
-    Also checks each neighborhood's size equals the codeword's run count:
-    deleting anywhere inside one run gives the same shortened word, so every
-    run contributes exactly one neighbor.
+    The e = n pool of run-start rows in (codeword, d) order, as ``verify_code`` builds it:
+    deleting from different runs gives different words (Levenshtein), so the balls are
+    disjoint and each holds one word per run iff no row's word came from an earlier row.
     """
     n, size = codebook.params.n, len(codebook)
     check_rows(n, size)
-    # the e = n pool in (codeword, d) order; a ball counts a codeword's distinct first rows
-    owner, d = np.divmod(np.arange(size * n), n)
+    owner, d = np.nonzero(_run_starts(codebook))
     first = _first_equal(codebook.rows, n, owner, d + 1, n)
-    heads = np.sort(first.reshape(size, n), axis=1)
-    ball = 1 + (heads[:, 1:] != heads[:, :-1]).sum(axis=1)
-    w = codebook.rows[:, 0]  # one word a row (check_rows): a run ends where x_i != x_{i+1}
-    runs = 1 + np.bitwise_count((w ^ w << 1) & prefix_mask(n - 1, 1))
-    shared = (owner[first] != owner).reshape(size, n)
-    bad = np.flatnonzero((ball != runs) | shared.any(axis=1))
-    if not bad.size:
+    repeated = np.flatnonzero(first != np.arange(len(first)))
+    if not repeated.size:
         return VerificationReport("deletion-balls", size * n)
-    i = int(bad[0])
-    j = first[i * n + np.argmax(shared[i])]  # the row that saw i's shared word first, if any
-    x1, x2 = map(render_bits, unpack_rows(codebook.rows[[owner[j], i]], n))
-    if ball[i] != runs[i]:
-        failure = f"FAIL x1={x2} x2={x2} d=1 e={n} ball={ball[i]} runs={runs[i]}"
+    j = int(repeated[0])  # codeword i's first repeated row: shared unless i's ball is short
+    i, k = int(owner[j]), first[j]  # k: the row that gave j's word first
+    ball, runs = len(np.unique(first[owner == i])), np.count_nonzero(owner == i)
+    x1, x2 = map(render_bits, unpack_rows(codebook.rows[[owner[k], i]], n))
+    if ball < runs:
+        failure = f"FAIL x1={x2} x2={x2} d=1 e={n} ball={ball} runs={runs}"
     else:
-        failure = f"FAIL x1={x1} x2={x2} d={d[j] + 1} e={n}"
+        failure = f"FAIL x1={x1} x2={x2} d={d[k] + 1} e={n}"
     return VerificationReport("deletion-balls", (i + 1) * n, failure)

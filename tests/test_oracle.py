@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ordel import montecarlo, oracle
@@ -144,6 +144,11 @@ class TestBruteForceDecode:
         pre = brute_force_decode(parse_received("000", 4), codebook)
         assert pre.candidates == frozenset()
 
+    def test_rejects_a_word_of_another_length(self):
+        # as decode does: an empty set would read as an unreachable word of the class
+        with pytest.raises(ValueError, match="implies n=5, code has n=4"):
+            brute_force_decode(parse_received("0101", 5), enumerate_codebook(CodeParams(4, 2, 0)))
+
     def test_several_deletions_in_one_run(self):
         # deleting either 1 of 0110 gives 010, so one word comes with two patterns
         codebook = enumerate_codebook(CodeParams(4, 2, 0))
@@ -194,9 +199,26 @@ class TestBruteForceDecode:
         out = decode(y, params)
         assert pre.words == ((out.word,) if isinstance(out, Recovered) else ())
 
-    @pytest.mark.parametrize("n, count", [(64, 16), (128, 16), (200, 16), (1000, 2)])
+    @settings(max_examples=48, deadline=None)
+    @given(st.integers(64, 200), st.integers(0, 2), st.data())
+    def test_members_round_trip_past_the_listing(self, n, a1, data):
+        # a fixed-class member at sizes no class listing reaches: the free bits and u that
+        # the sampler's completion step turns into it, and the pattern, are drawn here
+        params, table = CodeParams(n, a1, data.draw(st.integers(0, n))), montecarlo._completions(n)
+        free = data.draw(st.integers(0, 2**n - 1))
+        bits = np.array([[int(c) for c in f"{free:0{n}b}"]], np.uint8)
+        u = np.array([data.draw(st.integers(0, table[3] - 1))])
+        words = montecarlo._complete(table, pack_rows(bits, n), n, u, a1, params.a2)
+        assume(len(words))
+        codebook = Codebook(params, words)
+        (x,) = codebook.words
+        d = data.draw(st.integers(1, n))
+        y = corrupt(x, CorruptionPattern(d, data.draw(st.integers(d, n))))
+        assert brute_force_decode(y, codebook).words == (decode(y, params).word,) == (x,)
+
+    @pytest.mark.parametrize("n, count", [(1000, 2)])
     def test_round_trips_past_the_listing(self, n, count):
-        # fixed-class members drawn at sizes no class listing reaches, one seeded pattern each
+        # fixed-class members drawn by the sampler at n = 1000, one seeded pattern each
         params = CodeParams(n, 1, n // 3)
         table = montecarlo._completions(n)
         words, _, _ = montecarlo._draw_codewords(random.Random(n), n, count, 1, n // 3, table)
@@ -483,6 +505,30 @@ class TestDeletionBalls:
         assert not report.passed
         assert report.checked == 8
         assert report.render() == "FAIL x1=0001 x2=1000 d=4 e=4"
+
+    def test_ball_smaller_than_its_runs(self, monkeypatch):
+        # a channel that turns every row into 0s: no codebook reaches the ball form, this does;
+        # its three runs give 00001110 one word, the word 00000000's deletion gave first
+        monkeypatch.setattr(oracle, "corrupt_batch", lambda words, n, d, e: np.zeros_like(words))
+        codebook = enumerate_codebook(best_params(8))
+        reports = [sweep(codebook) for sweep in (deletion_balls_disjoint, verify_code)]
+        assert [(r.checked, r.render()) for r in reports] == [
+            (16, "FAIL x1=00001110 x2=00001110 d=1 e=8 ball=1 runs=3"),
+            (2, "FAIL x1=00000000 x2=00001110 d=1 e=1"),
+        ]
+
+    def test_corrupts_one_row_per_run(self, monkeypatch):
+        real, corrupted = oracle.corrupt_batch, []
+
+        def count_rows(words, n, d, e):
+            corrupted.append(len(d))
+            return real(words, n, d, e)
+
+        monkeypatch.setattr(oracle, "corrupt_batch", count_rows)
+        codebook = enumerate_codebook(best_params(13))
+        assert deletion_balls_disjoint(codebook).passed
+        runs = sum(1 + sum(a != b for a, b in zip(x.bits, x.bits[1:])) for x in codebook.words)
+        assert sum(corrupted) == runs == 1367
 
 
 class TestOracleDecoderAgreement:
