@@ -216,9 +216,9 @@ class TestBruteForceDecode:
         y = corrupt(x, CorruptionPattern(d, data.draw(st.integers(d, n))))
         assert brute_force_decode(y, codebook).words == (decode(y, params).word,) == (x,)
 
-    @pytest.mark.parametrize("n, count", [(1000, 2)])
+    @pytest.mark.parametrize("n, count", [(64, 16), (128, 16), (200, 16), (1000, 2)])
     def test_round_trips_past_the_listing(self, n, count):
-        # fixed-class members drawn by the sampler at n = 1000, one seeded pattern each
+        # fixed-class members drawn by the sampler, one seeded pattern each
         params = CodeParams(n, 1, n // 3)
         table = montecarlo._completions(n)
         words, _, _ = montecarlo._draw_codewords(random.Random(n), n, count, 1, n // 3, table)
