@@ -19,6 +19,9 @@ from dataclasses import dataclass
 
 from .vt_code import check_count
 
+__all__ = ["BoundsRow", "RunStats", "bounds_csv", "bounds_table", "redundancy_lower_bound",
+           "redundancy_upper_bound", "run_stats", "run_threshold"]
+
 MIN_BOUND_ARGUMENT = 1.0
 
 

@@ -16,6 +16,9 @@ import numpy as np
 
 from .core import ReceivedWord, Word, prefix_mask
 
+__all__ = ["CorruptionPattern", "all_patterns", "corrupt", "corrupt_batch", "corrupt_symbols",
+           "draw_pattern", "pattern_count", "patterns_at"]
+
 
 @dataclass(frozen=True)
 class CorruptionPattern:

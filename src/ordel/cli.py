@@ -20,6 +20,8 @@ from .channel import CorruptionPattern, corrupt
 from .core import CodeParams, parse_received, parse_word
 from .decoder import DecodeFailure, decode
 
+__all__ = ["main", "run"]
+
 USAGE_ERROR = 1
 DECODE_ERROR = 2
 _INT = {"type": int}

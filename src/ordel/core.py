@@ -21,6 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["CodeParams", "ReceivedWord", "Word", "pack_rows", "parse_received", "parse_word",
+           "prefix_mask", "unpack_rows"]
+
 MIN_LENGTH = 3
 ERASURE_CHAR = "?"
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")

@@ -38,6 +38,10 @@ import numpy as np
 
 from .core import CodeParams, ReceivedWord, Word, pack_rows, prefix_mask
 
+__all__ = ["FAILURE_STATUS", "INVALID_DISCREPANCY", "NO_SYNC", "BitHypothesis", "DecodeFailure",
+           "Recovered", "checksum_step", "decode", "decode_batch", "discrepancy",
+           "hypothesis_checksum", "row_sums"]
+
 NO_SYNC = "no synchronization"
 INVALID_DISCREPANCY = "invalid discrepancy"
 

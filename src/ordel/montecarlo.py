@@ -28,6 +28,8 @@ from .core import CodeParams, prefix_mask, render_bits, unpack_rows
 from .decoder import BATCH_WORDS, FAILURE_STATUS, decode_batch, row_sums
 from .vt_code import class_sizes, subset_buckets
 
+__all__ = ["TrialReport", "run_trials"]
+
 
 @dataclass(frozen=True)
 class TrialReport:

@@ -14,6 +14,7 @@ charges |C| * n(n+1)/2 rows, refusing from |C| alone, and n > 64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import compress, product
 
@@ -23,6 +24,9 @@ from .channel import CorruptionPattern, corrupt_batch, corrupt_symbols, pattern_
 from .core import ReceivedWord, Word, render_bits, unpack_rows
 from .decoder import BATCH_WORDS, FAILURE_STATUS, decode_batch
 from .vt_code import Codebook
+
+__all__ = ["PreimageSet", "VerificationReport", "brute_force_decode", "check_rows",
+           "deletion_balls_disjoint", "verify_code", "verify_decoder"]
 
 ROW_CAP = 2**22  # every class fits through n = 20 (3,496,710 rows at most), none from n = 21
 
@@ -62,8 +66,9 @@ def check_rows(n: int, size: int) -> None:
     """Refuse sweeps past the row cap, size * n(n+1)/2 rows, or past one word a row (n > 64,
     which only a hand-built codebook reaches under the cap)."""
     rows = size * pattern_count(n)
-    if rows > ROW_CAP:
-        raise ValueError(f"the sweeps need {rows} corrupted rows, above the row cap {ROW_CAP}")
+    if rows > ROW_CAP:  # counts as powers of two: at n = 1024 both have about 300 digits
+        raise ValueError(f"the sweeps need 2^{math.log2(rows):.1f} corrupted rows (n = {n}, "
+                         f"|C| = 2^{math.log2(size):.1f}), above the row cap {ROW_CAP}")
     if n > 64:
         raise ValueError(f"the sweeps take one uint64 word per row, so n <= 64, got n = {n}")
 

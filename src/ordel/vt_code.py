@@ -1,4 +1,4 @@
-"""Membership, enumeration, and parameter selection for the two-checksum code.
+"""Class sizes, enumeration, and parameter selection for the two-checksum code.
 
 A word x of length n belongs to the code with parameters (n, a1, a2) iff
 
@@ -22,6 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CodeParams, Word, prefix_mask, unpack_rows
+
+__all__ = ["COUNT_LIMIT", "Codebook", "best_of", "best_params", "check_cap", "class_sizes",
+           "enumerate_codebook", "redundancy", "render_codebook"]
 
 DEFAULT_ENUM_CAP = 28  # listing: 23.5 MiB of rows for the 3.1M words of n = 28's best class
 COUNT_LIMIT = 1 << 10  # exact counts: class_sizes(1024) takes about 0.2 s, (2048) 1-3 s
@@ -47,18 +50,6 @@ class Codebook:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-
-def is_member(word: Word, params: CodeParams) -> bool:
-    """Check both congruences in one O(n) pass."""
-    if word.n != params.n:
-        raise ValueError(f"word length {word.n} != code length {params.n}")
-    bit_sum = 0
-    weighted_sum = 0
-    for i, b in enumerate(word.bits, start=1):
-        bit_sum += b
-        weighted_sum += i * b
-    return bit_sum % 3 == params.a1 and weighted_sum % (params.n + 1) == params.a2
 
 
 def check_count(n: int) -> None:

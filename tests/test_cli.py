@@ -231,6 +231,16 @@ class TestVerify:
         assert (status, out) == (1, "")
         assert err.startswith("error: the sweeps need ") and "row cap 4194304" in err
 
+    def test_row_cap_refusal_is_short_at_the_count_limit(self, capsys):
+        # the row count at n = 1024 has over 300 digits; the refusal gives it, and |C|, in bits
+        status, out, err = invoke(capsys, "verify", "--n", str(COUNT_LIMIT))
+        assert (status, out) == (1, "")
+        assert err == (
+            "error: the sweeps need 2^1031.4 corrupted rows (n = 1024, |C| = 2^1012.4), "
+            "above the row cap 4194304\n"
+        )
+        assert len(err) < 160
+
     def test_refuses_past_the_count_limit(self, capsys):
         status, out, err = invoke(capsys, "verify", "--n", str(COUNT_LIMIT + 1))
         assert (status, out) == (1, "")

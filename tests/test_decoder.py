@@ -33,7 +33,9 @@ from ordel.decoder import (
     hypothesis_checksum,
     row_sums,
 )
-from ordel.vt_code import best_params, enumerate_codebook, is_member
+from ordel.vt_code import best_params, enumerate_codebook
+
+from test_vt_code import is_member
 
 
 def run_bounds(bits: tuple[int, ...], d: int) -> tuple[int, int]:

@@ -21,7 +21,9 @@ from ordel.oracle import (
     verify_code,
     verify_decoder,
 )
-from ordel.vt_code import Codebook, best_params, enumerate_codebook, is_member
+from ordel.vt_code import Codebook, best_params, enumerate_codebook
+
+from test_vt_code import is_member
 
 
 def rows(*texts: str) -> np.ndarray:

@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ordel.analysis import redundancy_upper_bound
+from ordel.analysis import redundancy_lower_bound, redundancy_upper_bound
 from ordel import vt_code
 from ordel.core import CodeParams, Word, pack_rows, parse_word, unpack_rows
 from ordel.decoder import row_sums
@@ -17,7 +17,6 @@ from ordel.vt_code import (
     best_params,
     class_sizes,
     enumerate_codebook,
-    is_member,
     redundancy,
     render_codebook,
 )
@@ -33,6 +32,18 @@ def brute_members(n: int, a1: int, a2: int) -> list[str]:
             continue
         out.append("".join(map(str, bits)))
     return out
+
+
+def is_member(word: Word, params: CodeParams) -> bool:
+    """The tests' membership check, independent of the decoder: both congruences in one O(n) pass."""
+    if word.n != params.n:
+        raise ValueError(f"word length {word.n} != code length {params.n}")
+    bit_sum = 0
+    weighted_sum = 0
+    for i, b in enumerate(word.bits, start=1):
+        bit_sum += b
+        weighted_sum += i * b
+    return bit_sum % 3 == params.a1 and weighted_sum % (params.n + 1) == params.a2
 
 
 def traced_peak(call, *args):
@@ -254,6 +265,14 @@ class TestClassSizes:
         best = max(class_sizes(n).flat)
         assert best * 3 * (n + 1) >= 2**n
         assert n - math.log2(best) <= redundancy_upper_bound(n)
+
+    def test_best_class_within_log2_3_of_the_lower_bound_at_n1e6(self):
+        # n = 10^6 is past COUNT_LIMIT, so the size comes from the character sum alone; its
+        # 3(n + 1) entries are 12 values shared by gcd(a2, n + 1), compared once each by id
+        n = 10**6
+        sizes = {id(size): size for row in character_sum_sizes(n) for size in row}.values()
+        gap = n - math.log2(max(sizes)) - redundancy_lower_bound(n)
+        assert 0 < gap <= math.log2(3) + 0.02
 
 
 class TestCountLimit:
