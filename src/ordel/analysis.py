@@ -15,7 +15,7 @@ differ, so exactly 2 * C(n-1, r-1) words have r runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .vt_code import check_count
 
@@ -25,8 +25,7 @@ __all__ = ["BoundsRow", "RunStats", "bounds_csv", "bounds_table", "redundancy_lo
 MIN_BOUND_ARGUMENT = 1.0
 
 
-@dataclass(frozen=True)
-class BoundsRow:
+class BoundsRow(NamedTuple):
     """One table row; lower_bits/gap_bits are None below the bound's validity range."""
 
     n: int
@@ -35,8 +34,7 @@ class BoundsRow:
     gap_bits: float | None
 
 
-@dataclass(frozen=True)
-class RunStats:
+class RunStats(NamedTuple):
     """Exact run-count statistics over all 2^n words."""
 
     n: int

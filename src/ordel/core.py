@@ -7,7 +7,9 @@ bits x_1 ... x_n, and every position argument or result (d, e, k) counts from
 
 Erased symbols are represented as ``None`` in memory and rendered as ``'?'``
 in all text I/O.  Every type here is an immutable value; every function is
-pure, so everything is safe to share across threads.
+pure, so everything is safe to share across threads.  Package-wide, a type
+that checks its fields is a ``@dataclass(frozen=True)`` whose ``__post_init__``
+refuses bad ones; a result record, which checks nothing, is a ``typing.NamedTuple``.
 
 The batch kernels take and return packed rows: a row of a length-n batch is
 W = ceil(n / 64) uint64 words, position i (from 0) in word i // 64 at bit

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +59,7 @@ class BitHypothesis:
             raise ValueError("hypothesis bits must be 0 or 1")
 
 
-@dataclass(frozen=True)
-class Recovered:
+class Recovered(NamedTuple):
     """Successful decode: the word, where the bit was re-inserted, which pass found it."""
 
     word: Word
@@ -67,8 +67,7 @@ class Recovered:
     sync_pass: int
 
 
-@dataclass(frozen=True)
-class DecodeFailure:
+class DecodeFailure(NamedTuple):
     reason: str
 
 

@@ -19,7 +19,7 @@ their u, and the pattern indices, each sized to suffice: reports repeat byte for
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from .vt_code import class_sizes, subset_buckets
 __all__ = ["TrialReport", "run_trials"]
 
 
-@dataclass(frozen=True)
-class TrialReport:
+class TrialReport(NamedTuple):
     n: int
     trials: int
     seed: int
@@ -79,14 +78,13 @@ def _completions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     are bucketed by ``vt_code.subset_buckets``, as in class listing.
     """
     b = n.bit_length()
-    if b > 22:  # the limit: 2^L entries, L = b past n = 2^15, take 0.3-0.6 s and 250 MB at L = 22
+    if b > 22:  # the limit: 2^L entries, L = b past n = 2^15, take 0.3-0.6 s and 163 MB at L = 22
         raise ValueError(f"n = {n} is past n < 2^22, the limit of the fixed-class completion table")
     size = min(n, max(b, min(16, b + 5)))
     others = [i for i in range(3, 3 * size) if i & (i - 1)][: size - b]
     cols = np.array(sorted(others + [1 << j for j in range(b)]))
-    order, start = subset_buckets(cols.tolist(), n + 1)
-    spots = np.bitwise_xor(*prefix_mask((cols, cols - 1), -(-n // 64)))
-    return spots, order, start, int((start[1:] - start[:-1]).max())
+    buckets = subset_buckets(cols.tolist(), n + 1)  # first: spots held would add to its peak
+    return (np.bitwise_xor(*prefix_mask((cols, cols - 1), -(-n // 64))), *buckets)
 
 
 def _complete(table, words: np.ndarray, n: int, u: np.ndarray, a1: int, a2: int) -> np.ndarray:

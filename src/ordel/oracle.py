@@ -15,8 +15,8 @@ charges |C| * n(n+1)/2 rows, refusing from |C| alone, and n > 64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ __all__ = ["PreimageSet", "VerificationReport", "brute_force_decode", "check_row
 ROW_CAP = 2**22  # every class fits through n = 20 (3,496,710 rows at most), none from n = 21
 
 
-@dataclass(frozen=True)
-class PreimageSet:
+class PreimageSet(NamedTuple):
     """Codeword/pattern pairs consistent with one received word."""
 
     received: ReceivedWord
@@ -44,8 +43,7 @@ class PreimageSet:
         return tuple(sorted({w for w, _ in self.candidates}, key=lambda w: w.bits))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """PASS/FAIL outcome of one exhaustive sweep."""
 
     check: str

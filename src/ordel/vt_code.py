@@ -88,12 +88,15 @@ def subset_keys(positions, m: int) -> np.ndarray:
     return w - w // m * m + (s - s // 3 * 3) * np.int32(m)  # numpy's % is slower than //
 
 
-def subset_buckets(positions, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Subsets grouped by ``subset_keys``: key t's are order[start[t]:start[t + 1]], ascending."""
+def subset_buckets(positions, m: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Subsets grouped by ``subset_keys``: key t's are order[start[t]:start[t + 1]], ascending,
+    and the largest bucket's size."""
     key = subset_keys(positions, m)
-    start = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=3 * m))))
+    start = np.bincount(key + 1, minlength=3 * m + 1)  # bucket t's size at t + 1
+    largest = int(start.max())  # read before the sizes are summed in place into the starts
     # a stable argsort of uint16 keys is a radix sort
-    return np.argsort(key.astype(np.uint16) if 3 * m <= 1 << 16 else key, kind="stable"), start
+    order = np.argsort(key.astype(np.uint16) if 3 * m <= 1 << 16 else key, kind="stable")
+    return order, np.cumsum(start, out=start), largest
 
 
 def check_cap(n: int, cap: int | None = None) -> None:
@@ -112,7 +115,7 @@ def enumerate_codebook(params: CodeParams, cap: int | None = None) -> Codebook:
     n, m = params.n, params.n + 1
     check_cap(n, cap)
     high = n // 2
-    order, start = subset_buckets(range(n, high, -1), m)
+    order, start, _ = subset_buckets(range(n, high, -1), m)
     prefix_key = subset_keys(range(high, 0, -1), m)
     target = (params.a1 - prefix_key // m) % 3 * m + (params.a2 - prefix_key % m) % m
     count = start[target + 1] - start[target]

@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -80,6 +81,21 @@ def test_sampler_selects_each_member_exactly_once(n):
         assert got == Counter(w.bits for w in enumerate_codebook(params).words)
         assert set(got.values()) == {1}
 
+
+
+def test_completion_table_peaks_near_what_it_holds():
+    # the largest bucket M is read off the bucket sizes before they are summed in place into
+    # the starts, so no second array of 3(n + 1) int64 sits beside them
+    n = 10**6
+    tracemalloc.start()
+    try:
+        table = montecarlo._completions(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(part.nbytes for part in table[:3])
+    assert table[3] == np.diff(table[2]).max()
+    assert peak - held < 3 * (n + 1) * 8 / 2, (peak, held)
 
 def test_seeded_draws_cover_a_small_class_evenly():
     table = montecarlo._completions(8)
