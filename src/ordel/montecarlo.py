@@ -138,6 +138,8 @@ def run_trials(
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     pattern_count(n)  # refuses n + 1 >= 2^31 before any table or draw
+    if n > 2**31 - 64:  # a row's 64 * ceil(n / 64) bits come from one getrandbits call
+        raise ValueError(f"n = {n} is past n <= 2^31 - 64, the most bits one getrandbits call draws")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if (a1 is None) != (a2 is None):

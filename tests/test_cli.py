@@ -205,13 +205,30 @@ class TestVerify:
             )
         ]
 
-    def test_row_cap_from_n21(self, capsys):
-        # enumeration allows n <= 28, but n = 21's best class needs more rows than the cap
-        status, out, err = invoke(capsys, "verify", "--n", "21")
+    @pytest.mark.parametrize("n", [21, 22])
+    def test_passes_past_the_old_row_cap(self, capsys, n):
+        # the best classes at n = 21 and 22 need 7,342,797 and 15,379,364 rows, past 2^22
+        sizes = class_sizes(n)
+        params = vt_code.best_of(sizes)
+        size = sizes[params.a1, params.a2]
+        status, out, _ = invoke(capsys, "verify", "--n", str(n))
+        assert status == 0
+        assert out.splitlines() == [
+            f"n={n} a1={params.a1} a2={params.a2} {check}: PASS checked={checked}"
+            for check, checked in (
+                ("code-capability", size * n * (n + 1) // 2),
+                ("decoder-round-trip", size * n * (n + 1) // 2),
+                ("deletion-balls", size * n),
+            )
+        ]
+
+    def test_row_cap_from_n25(self, capsys):
+        # enumeration allows n <= 28, but n = 25's best class needs more rows than the cap
+        status, out, err = invoke(capsys, "verify", "--n", "25")
         assert (status, out) == (1, "")
         assert "row cap" in err
 
-    @pytest.mark.parametrize("argv", [["--n", "25"], ["--n", "28"], ["--n", "21", "--all-params"]])
+    @pytest.mark.parametrize("argv", [["--n", "25"], ["--n", "28"], ["--n", "25", "--all-params"]])
     def test_pairwise_cap_before_listing(self, capsys, monkeypatch, argv):
         # the refusal needs only the class size from class_sizes, so no class is listed
         def no_listing(*args):
@@ -229,7 +246,7 @@ class TestVerify:
         monkeypatch.setattr(vt_code, "enumerate_codebook", None)
         status, out, err = invoke(capsys, "verify", "--n", str(n))
         assert (status, out) == (1, "")
-        assert err.startswith("error: the sweeps need ") and "row cap 4194304" in err
+        assert err.startswith("error: the sweeps need ") and "row cap 134217728" in err
 
     def test_row_cap_refusal_is_short_at_the_count_limit(self, capsys):
         # the row count at n = 1024 has over 300 digits; the refusal gives it, and |C|, in bits
@@ -237,7 +254,7 @@ class TestVerify:
         assert (status, out) == (1, "")
         assert err == (
             "error: the sweeps need 2^1031.4 corrupted rows (n = 1024, |C| = 2^1012.4), "
-            "above the row cap 4194304\n"
+            "above the row cap 134217728\n"
         )
         assert len(err) < 160
 
@@ -327,6 +344,13 @@ class TestSimulate:
         status, out, err = invoke(capsys, "simulate", "--n", str(n), "--trials", "1", "--seed", "1", *cls)
         assert (status, out) == (1, "")
         assert "n + 1 < 2^31" in err
+
+    @pytest.mark.parametrize("n", [2**31 - 63, 2**31 - 2])
+    def test_n_past_one_getrandbits_row_is_a_usage_error(self, capsys, n):
+        # both ends of the refused range: a row of 2^25 words is past getrandbits' C int
+        status, out, err = invoke(capsys, "simulate", "--n", str(n), "--trials", "1", "--seed", "1")
+        assert (status, out) == (1, "")
+        assert err == f"error: n = {n} is past n <= 2^31 - 64, the most bits one getrandbits call draws\n"
 
     def test_fixed_class_past_the_table_limit_is_a_usage_error(self, capsys):
         # the first refused n, and the n whose table once ended in a MemoryError traceback

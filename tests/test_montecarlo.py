@@ -180,6 +180,18 @@ def test_refuses_n_past_the_table_limit_before_building_it(monkeypatch):
         run_trials(2**22 - 1, 1, 1, 0, 0)  # the largest n it takes goes on to build it
 
 
+def test_refuses_n_past_one_getrandbits_row_before_drawing(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a word was drawn")
+
+    monkeypatch.setattr(montecarlo, "_draw_codewords", no_draw)
+    for n in (2**31 - 63, 2**31 - 2):  # both ends of the refused range
+        with pytest.raises(ValueError, match=r"n <= 2\^31 - 64, the most bits one getrandbits"):
+            run_trials(n, 1, 1)
+    with pytest.raises(AssertionError, match="word was drawn"):
+        run_trials(2**31 - 64, 1, 1)  # the largest n it takes goes on to draw
+
+
 def test_per_word_runs_need_no_table(monkeypatch):
     monkeypatch.setattr(montecarlo, "_completions", None)
     assert run_trials(2**22, 2, 1).passed

@@ -17,11 +17,12 @@ from ordel.oracle import (
     PreimageSet,
     VerificationReport,
     brute_force_decode,
+    check_rows,
     deletion_balls_disjoint,
     verify_code,
     verify_decoder,
 )
-from ordel.vt_code import Codebook, best_params, enumerate_codebook
+from ordel.vt_code import Codebook, best_params, class_sizes, enumerate_codebook
 
 from test_vt_code import is_member
 
@@ -84,6 +85,46 @@ def loop_verify_decoder(codebook: Codebook, failing: ReceivedWord) -> Verificati
                 failure = f"FAIL x1={x} x2=no-synchronization d={pattern.d} e={pattern.e}"
                 return VerificationReport("decoder-round-trip", i * len(patterns) + j + 1, failure)
     return VerificationReport("decoder-round-trip", len(codebook) * len(patterns))
+
+
+def decoder_walk(codebook: Codebook) -> list[tuple[int, int, int]]:
+    """The (e, d, codeword index) rows that ``verify_decoder`` decodes, in its order: one pool
+    per e, the rows whose d <= e starts a run of the codeword, in (d, codeword) order."""
+    n, words = codebook.params.n, codebook.words
+    return [
+        (e, d, i)
+        for e in range(1, n + 1)
+        for d in range(1, e + 1)
+        for i, x in enumerate(words)
+        if d == 1 or x.bits[d - 2] != x.bits[d - 1]
+    ]
+
+
+def full_order_place(codebook: Codebook, e: int, d: int, i: int) -> int:
+    """The row's place, from 0, among all codebook x ``all_patterns`` rows."""
+    patterns = all_patterns(codebook.params.n)
+    return i * len(patterns) + patterns.index(CorruptionPattern(d, e))
+
+
+def kernel_key(codebook: Codebook, e: int, d: int, i: int) -> tuple[int, int]:
+    """The (packed received word, e) that the kernel sees for the row, its erasure stored as 0."""
+    y = corrupt(codebook.words[i], CorruptionPattern(d, e))
+    return pack_rows(np.array([[s or 0 for s in y.symbols]], np.uint8), y.n)[0, 0], e
+
+
+def reject_rows(monkeypatch, keys: list[tuple[int, int]]) -> list[list[int]]:
+    """Make ``oracle.decode_batch`` fail the rows with these (y, e) keys; per kernel call,
+    the positions in ``keys`` of the rows it saw."""
+    real, calls = oracle.decode_batch, []
+
+    def reject(y, n, e, a1, a2):
+        words, k, status = real(y, n, e, a1, a2)
+        hits = [(y[:, 0] == word) & (e == at) for word, at in keys]
+        calls.append([j for j, hit in enumerate(hits) if hit.any()])
+        return words, k, np.where(np.any(hits, axis=0), 0, status)
+
+    monkeypatch.setattr(oracle, "decode_batch", reject)
+    return calls
 
 
 def filtered_codebook(n: int, keep) -> Codebook:
@@ -313,10 +354,20 @@ class TestVerifyCode:
         assert (got.checked, got.render()) == (want.checked, want.render()) == expected
 
     def test_step_cap_refusal(self):
-        # 2100 rows at n = 64: 2100 * 64 * 65 / 2 = 4,368,000 rows, past the 2^22 row cap
-        bits = np.random.default_rng(0).integers(0, 2, (2100, 64), dtype=np.uint8)
+        # 64,529 rows at n = 64: 64,529 * 64 * 65 / 2 = 134,220,320 rows, past the 2^27 row cap
+        bits = np.random.default_rng(0).integers(0, 2, (64529, 64), dtype=np.uint8)
         with pytest.raises(ValueError, match="row cap"):
             verify_code(Codebook(CodeParams(64, 0, 0), pack_rows(bits, 64)))
+
+    def test_row_cap_admits_every_class_to_n24(self):
+        # the largest class at n = 24 needs 67,109,400 rows, the smallest at n = 25 139,801,025
+        at24, at25 = class_sizes(24).ravel(), class_sizes(25).ravel()
+        assert (at24.max() * 300, at25.min() * 325) == (67_109_400, 139_801_025)
+        for size in at24:
+            check_rows(24, size)
+        for size in at25:
+            with pytest.raises(ValueError, match="above the row cap 134217728"):
+                check_rows(25, size)
 
     @pytest.mark.parametrize("sweep", [verify_code, verify_decoder, deletion_balls_disjoint])
     def test_rejects_words_of_another_length(self, sweep):
@@ -339,38 +390,36 @@ class TestVerifyDecoder:
         assert report.render() == "FAIL x1=0001 x2=no-synchronization d=1 e=1"
 
     def test_checked_counts_rows_across_batches(self, monkeypatch):
-        # the kernel rejects the first row of its third batch; the report counts
-        # that row's place among all codebook x all_patterns rows and shows the
-        # kernel's failure reason; 2^10 one-word rows per batch split the n = 13
-        # sweep's run-start rows into 1024-row batches
-        real, calls = oracle.decode_batch, []
-
-        def reject_third_batch(y, n, e, a1, a2):
-            words, k, status = real(y, n, e, a1, a2)
-            calls.append(len(y))
-            if len(calls) == 3:
-                status = status.copy()
-                status[0] = 0
-            return words, k, status
-
-        monkeypatch.setattr(oracle, "decode_batch", reject_third_batch)
+        # the kernel rejects the row 4 * 2^10 of the (e, d, codeword) walk; the report counts
+        # that row's place among all codebook x all_patterns rows and shows the kernel's
+        # failure reason; with 2^10 rows per batch a call takes fewer than 2 * 2^10, so that
+        # row of the n = 13 sweep comes in the third call or later
         monkeypatch.setattr(oracle, "BATCH_WORDS", 1 << 10)
         codebook = enumerate_codebook(best_params(13))
+        e, d, i = row = decoder_walk(codebook)[4 << 10]
+        calls = reject_rows(monkeypatch, [kernel_key(codebook, *row)])
         report = verify_decoder(codebook)
-        patterns = all_patterns(13)
-        # the rows the sweep decodes: those whose d starts a run of x
-        kept = [
-            (i * len(patterns) + j, x, p)
-            for i, x in enumerate(codebook.words)
-            for j, p in enumerate(patterns)
-            if p.d == 1 or x.bits[p.d - 2] != x.bits[p.d - 1]
-        ]
-        assert calls[:2] == [1 << 10, 1 << 10] and len(kept) > 2 << 10
-        row, x, pattern = kept[calls[0] + calls[1]]
-        assert row > calls[0] + calls[1]
-        assert report.checked == row + 1
+        place = full_order_place(codebook, *row)
+        assert calls.index([0]) >= 2 and sum(map(len, calls)) == 1 and place > 4 << 10
+        assert report.checked == place + 1
         assert report.render() == (
-            f"FAIL x1={x.render()} x2=no-synchronization d={pattern.d} e={pattern.e}"
+            f"FAIL x1={codebook.words[i].render()} x2=no-synchronization d={d} e={e}"
+        )
+
+    def test_reports_the_smallest_place_across_pools(self, monkeypatch):
+        # two rejected rows: codeword 10 under (1, 1), in the first pool, and codeword 0 under
+        # (1, 8), in the last; 16-row batches put them in different kernel calls, and the
+        # report names the later one, which comes first in codebook x all_patterns order
+        monkeypatch.setattr(oracle, "BATCH_WORDS", 16)
+        codebook = enumerate_codebook(best_params(8))
+        early, late = (1, 1, 10), (8, 1, 0)
+        calls = reject_rows(monkeypatch, [kernel_key(codebook, *early), kernel_key(codebook, *late)])
+        report = verify_decoder(codebook)
+        assert len(codebook) == 11 and calls.index([0]) < calls.index([1])
+        assert full_order_place(codebook, *late) < full_order_place(codebook, *early)
+        assert (report.checked, report.render()) == (
+            full_order_place(codebook, *late) + 1,
+            f"FAIL x1={codebook.words[0].render()} x2=no-synchronization d=1 e=8",
         )
 
     def test_failing_received_word_reports_the_first_row(self, monkeypatch):
@@ -394,24 +443,28 @@ class TestVerifyDecoder:
             assert (got.checked, got.render()) == (want.checked, want.render())
 
     def test_reports_the_word_the_kernel_returned(self, monkeypatch):
-        # the kernel "recovers" row 5 with one bit flipped; the report shows that word
+        # the kernel "recovers" the fifth row from the end of the (e, d, codeword) walk, in the
+        # e = n pool, with one bit flipped; the report shows that word
+        codebook = enumerate_codebook(best_params(8))
+        e, d, i = row = decoder_walk(codebook)[-5]
+        word, _ = kernel_key(codebook, *row)
         real = oracle.decode_batch
 
-        def flip_row_5(y, n, e, a1, a2):
-            words, k, status = real(y, n, e, a1, a2)
-            words, status = words.copy(), status.copy()
-            words[5, 0] ^= np.uint64(1 << 63)  # the packed word's first position
-            status[5] = 1
+        def flip_one_row(y, n, e_, a1, a2):
+            words, k, status = real(y, n, e_, a1, a2)
+            hit = (y[:, 0] == word) & (e_ == e)
+            words, status = words.copy(), np.where(hit, 1, status)
+            words[hit, 0] ^= np.uint64(1 << 63)  # the packed word's first position
             return words, k, status
 
-        monkeypatch.setattr(oracle, "decode_batch", flip_row_5)
-        codebook = enumerate_codebook(best_params(8))
-        x, pattern = codebook.words[0], all_patterns(8)[5]
-        flipped = ("1" if x.render()[0] == "0" else "0") + x.render()[1:]
+        monkeypatch.setattr(oracle, "decode_batch", flip_one_row)
+        x = codebook.words[i].render()
+        flipped = ("1" if x[0] == "0" else "0") + x[1:]
         report = verify_decoder(codebook)
+        assert (e, d > 1) == (8, True)
         assert (report.checked, report.render()) == (
-            6,
-            f"FAIL x1={x.render()} x2={flipped} d={pattern.d} e={pattern.e}",
+            full_order_place(codebook, *row) + 1,
+            f"FAIL x1={x} x2={flipped} d={d} e={e}",
         )
 
 
