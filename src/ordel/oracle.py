@@ -2,18 +2,17 @@
 
 ``brute_force_decode`` inserts a bit into y once per run it could join, fills the erasure,
 and keeps the candidates that meet the class's two congruences (summed by definition) and
-re-corrupt to y: O(n^2) work, no codebook rows.  The sweeps walk one pool per e (``_pools``):
-the rows (d <= e, codeword) whose d starts a run, as uint64 keys from ``corrupt_batch``.
-``verify_code`` and ``deletion_balls_disjoint`` look for a key that two codewords share; as
-``brute_force_decode``, they take nothing from ``decoder`` and touch no checksum, so their
-agreement with it, which ``verify_decoder`` checks on every pool, is genuine evidence.
-``check_rows`` charges |C| * n(n+1)/2 rows, refusing from |C| alone, and n > 64.
+re-corrupt to y: O(n^2) work, no codebook rows.  Each sweep corrupts only the rows (codeword,
+d <= e) whose d starts a run, in the order it reports.  ``verify_code`` and
+``deletion_balls_disjoint`` look for a key two codewords share; as ``brute_force_decode``, they
+take nothing from ``decoder`` and touch no checksum, so their agreement with it, which
+``verify_decoder`` checks on every run-start row, is genuine evidence.  ``check_rows`` charges
+|C| * n(n+1)/2 rows, refusing from |C| alone, and n > 64.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from itertools import compress, product
 from typing import NamedTuple
 
@@ -71,29 +70,21 @@ def check_rows(n: int, size: int) -> None:
 
 
 def _run_starts(codebook: Codebook) -> np.ndarray:
-    """(|C|, n) bools, column d - 1 set where x_d starts a run: d = 1 or x_{d-1} != x_d."""
+    """(|C|, n) bools, column d - 1 set where x_d starts a run: d = 1 or x_{d-1} != x_d.
+    Every sweep calls it first, so ``check_rows`` refuses before any row is corrupted."""
+    check_rows(codebook.params.n, len(codebook))
     w = codebook.rows[:, :1]  # one word a row (check_rows)
     return unpack_rows(w ^ w >> 1 | np.uint64(1 << 63), codebook.params.n).view(bool)
 
 
-def _pools(
-    codebook: Codebook, first: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """For e = first..n, e and the run-start rows with d <= e in (d, codeword) order: each row's
-    d, owner and key, the owner's row corrupted by (d, e), BATCH_WORDS rows a call so no transient
-    grows with the pool.  Each pool is a prefix of the e = n rows, found once.  All erasures sit
-    at e, so the 0 ``corrupt_batch`` stores there collides as the marker would."""
-    words, n = codebook.rows, codebook.params.n
-    check_rows(n, len(words))
-    d, owner = np.nonzero(_run_starts(codebook).T)
-    d += 1
-    for e in range(first, n + 1):
-        m = np.searchsorted(d, e, side="right")
-        keys = np.empty(m, np.uint64)  # one word a row (check_rows)
-        for s in range(0, m, BATCH_WORDS):
-            t = slice(s, min(s + BATCH_WORDS, m))
-            keys[t] = corrupt_batch(words[owner[t]], n, d[t], np.full(len(keys[t]), e))[:, 0]
-        yield e, d[:m], owner[:m], keys
+def _keys(codebook: Codebook, owner: np.ndarray, d: np.ndarray, e: int) -> np.ndarray:
+    """The owners' rows corrupted by (d, e), one e for all, as uint64 keys: BATCH_WORDS rows a
+    ``corrupt_batch`` call, so no transient grows.  The erasure's stored 0 collides as '?' does."""
+    keys, n = np.empty(len(owner), np.uint64), codebook.params.n
+    for s in range(0, len(owner), BATCH_WORDS):
+        t = slice(s, s + BATCH_WORDS)
+        keys[t] = corrupt_batch(codebook.rows[owner[t]], n, d[t], np.full_like(d[t], e))[:, 0]
+    return keys
 
 
 def _first_equal(keys: np.ndarray) -> np.ndarray | None:
@@ -143,8 +134,12 @@ def verify_code(codebook: Codebook) -> VerificationReport:
     Two such rows of one codeword never collide (Levenshtein): a pool passes iff its keys differ.
     """
     n, size, checked = codebook.params.n, len(codebook), 0
-    for e, d, owner, keys in _pools(codebook, 1):
-        first = _first_equal(keys)
+    run_d, run_owner = np.nonzero(_run_starts(codebook).T)
+    run_d += 1  # once, in place: a new array per pool cost 9% of the sweep at n = 20
+    for e in range(1, n + 1):
+        m = np.searchsorted(run_d, e, side="right")  # e's pool, the rows with d <= e: a prefix
+        d, owner = run_d[:m], run_owner[:m]
+        first = _first_equal(_keys(codebook, owner, d, e))
         # only a broken channel repeats one codeword's key: such a pool goes on
         if first is not None and (clash := owner[first] != owner).any():
             j = int(clash.argmax())
@@ -159,47 +154,42 @@ def verify_code(codebook: Codebook) -> VerificationReport:
 def verify_decoder(codebook: Codebook) -> VerificationReport:
     """Round-trip every codeword through every pattern and the decoder.
 
-    The pools go in (e, d, codeword) order through ``decode_batch``, BATCH_WORDS rows or more a
-    call (short pools share one: at small n a call's cost is mostly fixed).  A row-wise function
-    of (y, e, a1, a2), it fails a row only if it fails the row's run start, which comes earlier
-    in codebook x ``all_patterns`` order; the failing row first in that order is reported, with
-    what the kernel returned for it: the decoded word, or the failure reason its status stands for.
+    Rows go in codebook x ``all_patterns`` order, max(1, BATCH_WORDS // (n(n+1)/2)) codewords
+    a block, each corrupted, decoded and compared in one pass.  Only run starts are decoded: the
+    row-wise ``decode_batch`` fails a row only if it fails the row's earlier run start.  The
+    first failing row is reported, with the word or failure reason the kernel returned.
     """
-    params, n, words, held, found = codebook.params, codebook.params.n, codebook.rows, [], []
-    for e, d, owner, keys in _pools(codebook, 1):
-        for s in range(0, len(d), BATCH_WORDS):
-            t = slice(s, s + BATCH_WORDS)
-            held.append((d[t], owner[t], np.full(len(d[t]), e), keys[t]))
-            if e < n and sum(len(h[0]) for h in held) < BATCH_WORDS:
-                continue
-            (d_, owner_, e_, y), held = map(np.concatenate, zip(*held)), []
-            decoded, _, status = decode_batch(y[:, None], n, e_, params.a1, params.a2)
-            bad = np.flatnonzero((status < 1) | (decoded != words[owner_]).any(axis=1))
-            if bad.size:  # places, word * n(n+1)/2 + (d - 1)(2n + 2 - d)/2 + e - d, of these alone
-                d_, e_ = d_[bad], e_[bad]
-                place = owner_[bad] * pattern_count(n) + (d_ - 1) * (2 * n + 2 - d_) // 2 + e_ - d_
-                i, j = place.argmin(), bad[place.argmin()]
-                x1, z = map(render_bits, unpack_rows(np.stack((words[owner_[j]], decoded[j])), n))
-                got = z if status[j] > 0 else FAILURE_STATUS[status[j]].replace(" ", "-")
-                found.append((int(place[i]) + 1, f"FAIL x1={x1} x2={got} d={d_[i]} e={e_[i]}"))
-    passed = len(codebook) * pattern_count(n), None
-    return VerificationReport("decoder-round-trip", *min(found, default=passed))
+    starts, n, words = _run_starts(codebook), codebook.params.n, codebook.rows
+    d, e = np.add(np.triu_indices(n), 1)  # all_patterns: pattern p is (d[p], e[p])
+    step = max(1, BATCH_WORDS // len(d))
+    for s in range(0, len(words), step):
+        place = np.flatnonzero(starts[s : s + step, d - 1]) + s * len(d)  # codeword * len(d) + p
+        owner, p = np.divmod(place, len(d))
+        x, at = words[owner], e[p]
+        y = corrupt_batch(x, n, d[p], at)
+        decoded, _, status = decode_batch(y, n, at, codebook.params.a1, codebook.params.a2)
+        bad = np.flatnonzero((status < 1) | (decoded != x).any(axis=1))
+        if bad.size:
+            j = bad[0]
+            x1, z = map(render_bits, unpack_rows(np.stack((x[j], decoded[j])), n))
+            got = z if status[j] > 0 else FAILURE_STATUS[status[j]].replace(" ", "-")
+            failure = f"FAIL x1={x1} x2={got} d={d[p[j]]} e={at[j]}"
+            return VerificationReport("decoder-round-trip", int(place[j]) + 1, failure)
+    return VerificationReport("decoder-round-trip", len(words) * len(d))
 
 
 def deletion_balls_disjoint(codebook: Codebook) -> VerificationReport:
     """Check single-deletion neighborhoods are pairwise disjoint across the codebook.
 
-    The e = n pool of ``verify_code``: deleting from different runs gives different words
-    (Levenshtein), so the balls are disjoint and each holds one word per run iff its keys
-    differ.  A failing pool is reordered to (codeword, d), and its first row whose word came
-    from an earlier row is reported.
+    The e = n rows of ``verify_code``, in (codeword, d) order: deleting from different runs
+    gives different words (Levenshtein), so the balls are disjoint and each holds one word per
+    run iff the keys differ.  The first row whose word an earlier row gave is reported.
     """
     n, size = codebook.params.n, len(codebook)
-    _, d, owner, keys = next(_pools(codebook, n))
-    if _first_equal(keys) is None:
+    owner, d = np.divmod(np.flatnonzero(_run_starts(codebook)), n)  # 3x np.nonzero's speed in 2-D
+    first = _first_equal(_keys(codebook, owner, d + 1, n))
+    if first is None:
         return VerificationReport("deletion-balls", size * n)
-    order = np.argsort(owner, kind="stable")
-    d, owner, first = d[order], owner[order], _first_equal(keys[order])
     # j: codeword i's first repeated row, shared unless i's ball is short; k gave j's word first
     j = int(np.flatnonzero(first != np.arange(len(first)))[0])
     i, k = int(owner[j]), first[j]
@@ -208,5 +198,5 @@ def deletion_balls_disjoint(codebook: Codebook) -> VerificationReport:
     if ball < runs:
         failure = f"FAIL x1={x2} x2={x2} d=1 e={n} ball={ball} runs={runs}"
     else:
-        failure = f"FAIL x1={x1} x2={x2} d={d[k]} e={n}"
+        failure = f"FAIL x1={x1} x2={x2} d={d[k] + 1} e={n}"
     return VerificationReport("deletion-balls", (i + 1) * n, failure)

@@ -71,7 +71,8 @@ def class_sizes(n: int) -> np.ndarray:
     counts = np.zeros((3, n + 1), dtype=object)
     counts[0, 0] = 1
     for i in range(1, n + 1):
-        counts = counts + np.roll(counts, (1, i), axis=(0, 1))
+        moved = counts[[2, 0, 1]]  # row a1 + 1 takes row a1, and column a2 + i column a2
+        counts = counts + np.concatenate((moved[:, -i:], moved[:, :-i]), axis=1)
     return counts
 
 

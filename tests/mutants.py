@@ -1,0 +1,123 @@
+"""Mutation gate: how many hand-made faults the Tier-1 suite catches.
+
+Each entry of ``MUTANTS`` is (file, exact old text, new text, why the change is not
+equivalent).  For each, ``src``, ``tests``, ``bench`` (``test_surface`` reads it) and
+``pyproject.toml`` are copied to a temporary directory, the old text is replaced there, and
+Tier-1 runs in the copy with ``pytest -x``.  A mutant is killed when the suite fails and
+survived when it passes.  It is stale when its old text does not occur exactly once in the
+file: a refactor moved that text, so the entry needs mending before it guards anything.
+
+Run from anywhere, ``python tests/mutants.py``; the unmutated copy runs first, and nothing is
+judged if it fails.  One line per mutant and a tally go to stdout, as a Markdown list; the
+exit status is 1 if a mutant survived or went stale.  The file is not ``test_*``, so Tier-1
+does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "bench")
+TIMEOUT_S = 900  # several times a whole Tier-1 run
+
+
+class Mutant(NamedTuple):
+    file: str
+    old: str
+    new: str
+    why: str
+
+
+ORACLE = "src/ordel/oracle.py"
+MUTANTS = [
+    Mutant(ORACLE, "step = max(1, BATCH_WORDS // len(d))",
+           "step = max(1, BATCH_WORDS // len(d)) + 1",
+           "a decoder block one codeword larger can pass BATCH_WORDS rows a kernel call"),
+    Mutant(ORACLE, "int(place[j]) + 1, failure)", "int(place[j]), failure)",
+           "a failing decoder row's checked count misses the row itself"),
+    Mutant(ORACLE, "j = bad[0]", "j = bad[-1]",
+           "a block with two failing rows reports the later one"),
+    Mutant(ORACLE, "owner, d = np.divmod(np.flatnonzero(_run_starts(codebook)), n)",
+           "d, owner = np.divmod(np.flatnonzero(_run_starts(codebook).T), len(codebook))",
+           "the ball rows in (d, codeword) order: an earlier codeword's later run is seen first"),
+    Mutant(ORACLE, "np.full_like(d[t], e)", "np.full_like(d[t], n)",
+           "every pool keyed at e = n: no erasure, so the capability sweep misses its collisions"),
+    Mutant(ORACLE, "    check_rows(codebook.params.n, len(codebook))\n", "",
+           "the sweeps no longer refuse past the row cap or past n = 64"),
+    Mutant("src/ordel/analysis.py", "return math.log2(n + 1) + math.log2(3)",
+           "return math.log2(n) + math.log2(3)",
+           "the pigeonhole bound counts 3(n + 1) classes, not 3n"),
+    Mutant("src/ordel/channel.py", "prefix_mask((d - 1, e - 1, e), words.shape[1])",
+           "prefix_mask((d, e - 1, e), words.shape[1])",
+           "the batched channel keeps x_d and deletes x_{d+1}"),
+    Mutant("src/ordel/cli.py", "failed = failed or not report.passed",
+           "failed = failed and not report.passed",
+           "a failing verify report no longer sets exit status 1"),
+    Mutant("src/ordel/core.py", "if not 1 <= i <= len(self.bits):",
+           "if not 0 <= i <= len(self.bits):",
+           "Word.bit(0) returns x_n where it raises IndexError"),
+    Mutant("src/ordel/decoder.py", "np.where(k <= e, k, 0)", "np.where(k < e, k, 0)",
+           "the batched scan refuses an insertion at k = e, where the bit sits before the erasure"),
+    Mutant("src/ordel/montecarlo.py", "ok = u < start[key + 1] - start[key]",
+           "ok = u <= start[key + 1] - start[key]",
+           "the sampler keeps u equal to the bucket size, one entry past the bucket"),
+    Mutant("src/ordel/vt_code.py", "moved = counts[[2, 0, 1]]", "moved = counts[[1, 2, 0]]",
+           "setting a bit moves a word from class a1 to a1 - 1: the a1 rows of the table swap"),
+]
+
+
+def pytest_status(tree: Path) -> int | None:
+    """Tier-1's exit status in ``tree``, with ``-x``; None past ``TIMEOUT_S``."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    try:
+        return subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def run(mutant: Mutant | None) -> str:
+    """Killed, survived, stale or timed out: the verdict on one mutant, or on none."""
+    if mutant is not None and (ROOT / mutant.file).read_text().count(mutant.old) != 1:
+        return "stale"
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        for part in COPIED:
+            shutil.copytree(ROOT / part, tree / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(ROOT / "pyproject.toml", tree)
+        if mutant is not None:
+            path = tree / mutant.file
+            path.write_text(path.read_text().replace(mutant.old, mutant.new))
+        status = pytest_status(tree)
+    return "timed out" if status is None else "survived" if status == 0 else "killed"
+
+
+def main() -> int:
+    start = time.perf_counter()
+    if (verdict := run(None)) != "survived":
+        print(f"- the unmutated suite did not pass ({verdict}): no mutant is judged")
+        return 1
+    print(f"- unmutated suite passes, {time.perf_counter() - start:.1f} s")
+    tally: dict[str, int] = {}
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        verdict = run(mutant)
+        tally[verdict] = tally.get(verdict, 0) + 1
+        print(f"- {verdict}, {time.perf_counter() - start:.1f} s: {mutant.file} "
+              f"`{mutant.old.strip()}` -> `{mutant.new.strip()}` ({mutant.why})", flush=True)
+    print(f"- {len(MUTANTS)} mutants: " + ", ".join(f"{v} {k}" for k, v in sorted(tally.items())))
+    return int(bool(tally.get("survived") or tally.get("stale")))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 import ordel
-from ordel import vt_code
+from ordel import oracle, vt_code
 from ordel.cli import run
+from ordel.oracle import VerificationReport
 from ordel.vt_code import COUNT_LIMIT, class_sizes
 
 
@@ -178,6 +179,16 @@ class TestVerify:
         status, out, _ = invoke(capsys, "verify", "--n", "8")
         assert (status, calls) == (0, [8])
         assert out.startswith("n=8 a1=0 a2=0 code-capability: PASS")
+
+    def test_a_failing_sweep_exits_1(self, capsys, monkeypatch):
+        # the decoder check, stubbed to fail: its FAIL line prints between the two passing
+        # checks, and verify then ends with one error line and exit status 1
+        failure = "FAIL x1=000000 x2=no-synchronization d=1 e=1"
+        monkeypatch.setattr(oracle, "verify_decoder",
+                            lambda codebook: VerificationReport("decoder-round-trip", 1, failure))
+        status, out, err = invoke(capsys, "verify", "--n", "6")
+        assert (status, err) == (1, "error: verification failed\n")
+        assert [line.split(": ", 1)[1][:4] for line in out.splitlines()] == ["PASS", "FAIL", "PASS"]
 
     def test_all_params(self, capsys):
         status, out, _ = invoke(capsys, "verify", "--n", "4", "--all-params")

@@ -88,15 +88,13 @@ def loop_verify_decoder(codebook: Codebook, failing: ReceivedWord) -> Verificati
 
 
 def decoder_walk(codebook: Codebook) -> list[tuple[int, int, int]]:
-    """The (e, d, codeword index) rows that ``verify_decoder`` decodes, in its order: one pool
-    per e, the rows whose d <= e starts a run of the codeword, in (d, codeword) order."""
-    n, words = codebook.params.n, codebook.words
+    """The (e, d, codeword index) rows that ``verify_decoder`` decodes, in its order: codebook x
+    ``all_patterns`` order, the rows whose d starts a run of the codeword."""
     return [
-        (e, d, i)
-        for e in range(1, n + 1)
-        for d in range(1, e + 1)
-        for i, x in enumerate(words)
-        if d == 1 or x.bits[d - 2] != x.bits[d - 1]
+        (p.e, p.d, i)
+        for i, x in enumerate(codebook.words)
+        for p in all_patterns(codebook.params.n)
+        if p.d == 1 or x.bits[p.d - 2] != x.bits[p.d - 1]
     ]
 
 
@@ -390,10 +388,10 @@ class TestVerifyDecoder:
         assert report.render() == "FAIL x1=0001 x2=no-synchronization d=1 e=1"
 
     def test_checked_counts_rows_across_batches(self, monkeypatch):
-        # the kernel rejects the row 4 * 2^10 of the (e, d, codeword) walk; the report counts
-        # that row's place among all codebook x all_patterns rows and shows the kernel's
-        # failure reason; with 2^10 rows per batch a call takes fewer than 2 * 2^10, so that
-        # row of the n = 13 sweep comes in the third call or later
+        # the kernel rejects the row 4 * 2^10 of the decoder's walk; the report counts that
+        # row's place among all codebook x all_patterns rows and shows the kernel's failure
+        # reason; with 2^10 rows per batch a call takes at most 2^10 rows, so that row of the
+        # n = 13 sweep comes in the third call or later
         monkeypatch.setattr(oracle, "BATCH_WORDS", 1 << 10)
         codebook = enumerate_codebook(best_params(13))
         e, d, i = row = decoder_walk(codebook)[4 << 10]
@@ -406,21 +404,41 @@ class TestVerifyDecoder:
             f"FAIL x1={codebook.words[i].render()} x2=no-synchronization d={d} e={e}"
         )
 
-    def test_reports_the_smallest_place_across_pools(self, monkeypatch):
-        # two rejected rows: codeword 10 under (1, 1), in the first pool, and codeword 0 under
-        # (1, 8), in the last; 16-row batches put them in different kernel calls, and the
-        # report names the later one, which comes first in codebook x all_patterns order
+    def test_reports_the_first_failing_row_and_stops(self, monkeypatch):
+        # two rejected rows: codeword 10 under (1, 1) and codeword 0 under (1, 8); the report
+        # names codeword 0's, first in codebook x all_patterns order, and the walk stops at the
+        # block that holds it (one codeword a block at 16 rows): the kernel never sees the other
         monkeypatch.setattr(oracle, "BATCH_WORDS", 16)
         codebook = enumerate_codebook(best_params(8))
         early, late = (1, 1, 10), (8, 1, 0)
         calls = reject_rows(monkeypatch, [kernel_key(codebook, *early), kernel_key(codebook, *late)])
         report = verify_decoder(codebook)
-        assert len(codebook) == 11 and calls.index([0]) < calls.index([1])
+        assert len(codebook) == 11 and calls == [[1]]
         assert full_order_place(codebook, *late) < full_order_place(codebook, *early)
         assert (report.checked, report.render()) == (
             full_order_place(codebook, *late) + 1,
             f"FAIL x1={codebook.words[0].render()} x2=no-synchronization d=1 e=8",
         )
+
+    @pytest.mark.parametrize("batch", [16, 1 << 10])
+    def test_blocks_stay_bounded_and_stop_at_the_failing_row(self, monkeypatch, batch):
+        # at n = 13 a block is max(1, batch // 91) codewords of 91 patterns, so no kernel call
+        # takes more than max(batch, 91) rows, and none comes after the rejected row's; at
+        # batch 16, some block of two codewords would pass 91 rows
+        monkeypatch.setattr(oracle, "BATCH_WORDS", batch)
+        codebook = enumerate_codebook(best_params(13))
+        row = decoder_walk(codebook)[4 << 10]
+        sizes, real = [], oracle.decode_batch
+
+        def count_rows(y, n, e, a1, a2):
+            sizes.append(len(y))
+            return real(y, n, e, a1, a2)
+
+        monkeypatch.setattr(oracle, "decode_batch", count_rows)
+        calls = reject_rows(monkeypatch, [kernel_key(codebook, *row)])
+        report = verify_decoder(codebook)
+        assert report.checked == full_order_place(codebook, *row) + 1
+        assert max(sizes) <= max(batch, 13 * 14 // 2) and calls[-1] == [0] and len(calls) > 2
 
     def test_failing_received_word_reports_the_first_row(self, monkeypatch):
         # the kernel fails every row with one chosen (y, e); whichever row of a run it
@@ -443,10 +461,10 @@ class TestVerifyDecoder:
             assert (got.checked, got.render()) == (want.checked, want.render())
 
     def test_reports_the_word_the_kernel_returned(self, monkeypatch):
-        # the kernel "recovers" the fifth row from the end of the (e, d, codeword) walk, in the
-        # e = n pool, with one bit flipped; the report shows that word
+        # the kernel "recovers" the last row of the decoder's walk, an e = n row with d > 1,
+        # with one bit flipped; the report shows that word
         codebook = enumerate_codebook(best_params(8))
-        e, d, i = row = decoder_walk(codebook)[-5]
+        e, d, i = row = decoder_walk(codebook)[-1]
         word, _ = kernel_key(codebook, *row)
         real = oracle.decode_batch
 
