@@ -17,7 +17,7 @@ import numpy as np
 from .core import ReceivedWord, Word, prefix_mask
 
 __all__ = ["CorruptionPattern", "all_patterns", "corrupt", "corrupt_batch", "corrupt_symbols",
-           "draw_pattern", "pattern_count", "patterns_at"]
+           "draw_pattern"]
 
 
 @dataclass(frozen=True)
@@ -71,28 +71,6 @@ def all_patterns(n: int) -> list[CorruptionPattern]:
     if n < 3:
         raise ValueError(f"word length must be >= 3, got {n}")
     return [CorruptionPattern(d, e) for d in range(1, n + 1) for e in range(d, n + 1)]
-
-
-def pattern_count(n: int) -> int:
-    """n(n+1)/2, the number of patterns; n + 1 >= 2^31 raises, as ``patterns_at`` needs."""
-    if n + 1 >= 2**31:
-        raise ValueError(f"n = {n} is past n + 1 < 2^31, which keeps int64 pattern indices exact")
-    return n * (n + 1) // 2
-
-
-def patterns_at(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(d, e) of the patterns at 0-based positions ``index`` of ``all_patterns(n)``.
-
-    Counted from the end, where d = n, n-1, ... hold 1, 2, ... patterns, q =
-    n(n+1)/2 - 1 - index lies in the block d = n - j, j the triangular root
-    of q.  A float64 root, corrected by one either way in int64, is exact
-    while n(n+1)/2 < 2^62: for every n that ``pattern_count`` accepts.
-    """
-    q = pattern_count(n) - 1 - np.asarray(index, np.int64)
-    j = ((np.sqrt(8.0 * q + 1) - 1) // 2).astype(np.int64)
-    j -= j * (j + 1) // 2 > q
-    j += (j + 1) * (j + 2) // 2 <= q
-    return n - j, n - (q - j * (j + 1) // 2)
 
 
 def draw_pattern(rng: random.Random, n: int) -> CorruptionPattern:

@@ -13,7 +13,7 @@ decodes, and compares.  Two ways to draw the codeword:
 
 Words are packed rows (``core.pack_rows``).  All randomness comes from one
 `random.Random(seed)`, per batch ``getrandbits`` calls for the words, for a fixed class
-their u, and the pattern indices, each sized to suffice: reports repeat byte for byte.
+their u, and the patterns, each sized to suffice: reports repeat byte for byte.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import corrupt_batch, pattern_count, patterns_at
+from .channel import corrupt_batch
 from .core import CodeParams, prefix_mask, render_bits, unpack_rows
 from .decoder import BATCH_WORDS, FAILURE_STATUS, decode_batch, row_sums
 from .vt_code import class_sizes, subset_buckets
@@ -68,6 +68,14 @@ def _draw_below(rng: random.Random, count: int, bound: int) -> np.ndarray:
         top = _draw_words(rng, _sized(need, bound / 2**k, 1), 1)[:, 0] >> np.uint64(64 - k)
         found.append(top[top < bound])
     return np.concatenate(found)[:count].astype(np.int64)
+
+
+def _draw_patterns(rng: random.Random, count: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(d, e) of ``count`` uniform patterns: a value below n(n+1) is an ordered pair of distinct
+    values of 0..n, so each lo < hi comes twice, as (lo + 1, hi); n <= 2^31 - 64 keeps n(n+1) < 2^62."""
+    a, b = np.divmod(_draw_below(rng, count, n * (n + 1)), n)  # a < n + 1, b < n
+    b += b >= a  # b skips a: a distinct pair
+    return np.minimum(a, b) + 1, np.maximum(a, b)
 
 
 def _completions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -137,7 +145,6 @@ def run_trials(
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    pattern_count(n)  # refuses n + 1 >= 2^31 before any table or draw
     if n > 2**31 - 64:  # a row's 64 * ceil(n / 64) bits come from one getrandbits call
         raise ValueError(f"n = {n} is past n <= 2^31 - 64, the most bits one getrandbits call draws")
     if trials < 1:
@@ -159,7 +166,7 @@ def run_trials(
     for done in range(0, trials, rows):
         count = min(rows, trials - done)
         words, s1, s2 = _draw_codewords(rng, n, count, a1, a2, table)
-        d, e = patterns_at(_draw_below(rng, count, pattern_count(n)), n)
+        d, e = _draw_patterns(rng, count, n)
         decoded, _, status = decode_batch(corrupt_batch(words, n, d, e), n, e, s1, s2)
         bad = np.flatnonzero((status < 1) | (decoded != words).any(axis=1))
         failures += bad.size

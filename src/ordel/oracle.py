@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import CorruptionPattern, corrupt_batch, corrupt_symbols, pattern_count
+from .channel import CorruptionPattern, corrupt_batch, corrupt_symbols
 from .core import ReceivedWord, Word, render_bits, unpack_rows
 from .decoder import BATCH_WORDS, FAILURE_STATUS, decode_batch
 from .vt_code import Codebook
@@ -61,7 +61,7 @@ class VerificationReport(NamedTuple):
 def check_rows(n: int, size: int) -> None:
     """Refuse sweeps past the row cap, size * n(n+1)/2 rows, or past one word a row (n > 64,
     which only a hand-built codebook reaches under the cap)."""
-    rows = size * pattern_count(n)
+    rows = size * (n * (n + 1) // 2)
     if rows > ROW_CAP:  # counts as powers of two: at n = 1024 both have about 300 digits
         raise ValueError(f"the sweeps need 2^{math.log2(rows):.1f} corrupted rows (n = {n}, "
                          f"|C| = 2^{math.log2(size):.1f}), above the row cap {ROW_CAP}")

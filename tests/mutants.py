@@ -66,11 +66,20 @@ MUTANTS = [
            "Word.bit(0) returns x_n where it raises IndexError"),
     Mutant("src/ordel/decoder.py", "np.where(k <= e, k, 0)", "np.where(k < e, k, 0)",
            "the batched scan refuses an insertion at k = e, where the bit sits before the erasure"),
+    Mutant("src/ordel/decoder.py", "if top >= 2**63:", "if top > 2**63:",
+           "a largest weighted sum of exactly 2^63 passes the guard and overflows int64"),
     Mutant("src/ordel/montecarlo.py", "ok = u < start[key + 1] - start[key]",
            "ok = u <= start[key + 1] - start[key]",
            "the sampler keeps u equal to the bucket size, one entry past the bucket"),
+    Mutant("src/ordel/montecarlo.py", "b += b >= a", "b += b > a",
+           "b may equal a: a pair with d = e + 1, and some patterns drawn once, not twice"),
+    Mutant("src/ordel/montecarlo.py", "return np.minimum(a, b) + 1, np.maximum(a, b)",
+           "return np.minimum(a, b), np.maximum(a, b)",
+           "the drawn deletion lands one position early, at d = 0 for pairs holding 0"),
     Mutant("src/ordel/vt_code.py", "moved = counts[[2, 0, 1]]", "moved = counts[[1, 2, 0]]",
            "setting a bit moves a word from class a1 to a1 - 1: the a1 rows of the table swap"),
+    Mutant("src/ordel/vt_code.py", "3 * m <= 1 << 16", "3 * m <= 1 << 17",
+           "keys up to 3m - 1 sorted as uint16 past 2^16 wrap, so buckets get the wrong subsets"),
 ]
 
 

@@ -15,8 +15,6 @@ from ordel.channel import (
     corrupt_batch,
     corrupt_symbols,
     draw_pattern,
-    pattern_count,
-    patterns_at,
 )
 from ordel.core import Word, pack_rows, parse_word, unpack_rows
 
@@ -115,42 +113,6 @@ class TestAllPatterns:
         assert len(pats) == count == n * (n + 1) // 2
         assert len(set(pats)) == count
         assert all(1 <= p.d <= p.e <= n for p in pats)
-
-
-class TestPatternsAt:
-    def test_every_index_in_all_patterns_order(self):
-        # the upper triangle of an n x n grid, row by row, is the (d, e)
-        # lexicographic order; all_patterns itself is slow past n = 40
-        for n in range(3, 201):
-            d, e = patterns_at(np.arange(n * (n + 1) // 2), n)
-            row, col = np.triu_indices(n)
-            assert np.array_equal(d, row + 1) and np.array_equal(e, col + 1), n
-            if n <= 40:
-                assert list(zip(d.tolist(), e.tolist())) == [(p.d, p.e) for p in all_patterns(n)]
-
-    def test_at_the_largest_n_pattern_count_accepts(self):
-        # n + 1 = 2^31 - 1, so n(n+1)/2 is about 2^61.  The pairs sit at block
-        # ends, where the float root comes out one too high for about a third
-        # of them; index(d, e) counts the patterns before (d, e)
-        n = 2**31 - 2
-        rng = random.Random(5)
-        sample = [1, 2, 3, n // 2, n - 2, n - 1, n] + [rng.randint(1, n) for _ in range(200)]
-        pairs = {(d, e) for d in sample for e in (d, d + 1, (d + n) // 2, n - 1, n) if d <= e <= n}
-        pairs = sorted(pairs)
-        index = [(d - 1) * (2 * n - d + 2) // 2 + e - d for d, e in pairs]
-        assert index[0] == 0 and index[-1] == n * (n + 1) // 2 - 1
-        d, e = patterns_at(np.array(index), n)
-        assert list(zip(d.tolist(), e.tolist())) == pairs
-        assert pattern_count(n) == n * (n + 1) // 2
-
-    def test_refuses_n_past_the_int64_pattern_index_limit(self):
-        # n + 1 < 2^31 keeps n(n+1)/2 below 2^62, where the int64 root is
-        # exact, with room to spare; n = 2^31 - 1 is the first n refused
-        n = 2**31 - 1
-        with pytest.raises(ValueError, match=r"n \+ 1 < 2\^31"):
-            pattern_count(n)
-        with pytest.raises(ValueError, match=r"n \+ 1 < 2\^31"):
-            patterns_at(np.array([0]), n)
 
 
 class TestRandomPattern:

@@ -351,10 +351,10 @@ class TestSimulate:
     @pytest.mark.parametrize("n", [2**31 - 1, 10**21])
     @pytest.mark.parametrize("cls", [[], ["--a1", "0", "--a2", "0"]])
     def test_n_past_the_int32_limit_is_a_usage_error(self, capsys, n, cls):
-        # n + 1 < 2^31 is the int64 pattern-index limit of channel.pattern_count
+        # past n <= 2^31 - 64, getrandbits' C int limit, in both modes
         status, out, err = invoke(capsys, "simulate", "--n", str(n), "--trials", "1", "--seed", "1", *cls)
         assert (status, out) == (1, "")
-        assert "n + 1 < 2^31" in err
+        assert err == f"error: n = {n} is past n <= 2^31 - 64, the most bits one getrandbits call draws\n"
 
     @pytest.mark.parametrize("n", [2**31 - 63, 2**31 - 2])
     def test_n_past_one_getrandbits_row_is_a_usage_error(self, capsys, n):

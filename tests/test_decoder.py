@@ -587,3 +587,9 @@ class TestBatchLimits:
         assert int(row_sums(ones, 2, 2**62 - 1)[1][0]) == 2**63 - 1
         with pytest.raises(ValueError, match=r"2\^63"):
             row_sums(ones, 2, 2**62)
+        # one position weighed 2^63 - 1 is the largest int64 too, and 2^63 itself is
+        # refused, before numpy meets a weight past int64
+        one = pack_rows(np.ones((1, 1), np.uint8), 1)
+        assert int(row_sums(one, 1, 2**63 - 1)[1][0]) == 2**63 - 1
+        with pytest.raises(ValueError, match=r"2\^63"):
+            row_sums(one, 1, 2**63)

@@ -58,6 +58,17 @@ def test_fixed_class_draws_are_members_at_n1000():
     assert (s1 == 2).all() and (s2 == 999).all()
 
 
+@pytest.mark.parametrize("n", [21844, 21845])
+def test_fixed_class_draws_are_members_at_the_uint16_key_limit(n):
+    # subset_buckets sorts its keys as uint16 while 3(n + 1) <= 2^16: through n = 21844,
+    # and as int32 from n = 21845 on, where keys reach 3(n + 1) - 1 = 65537
+    table = montecarlo._completions(n)
+    packed, _, _ = montecarlo._draw_codewords(random.Random(n), n, 50, 1, n // 3, table)
+    words = unpack_rows(packed, n)
+    assert (words.sum(axis=1) % 3 == 1).all()
+    assert (words @ np.arange(1, n + 1) % (n + 1) == n // 3).all()
+
+
 @pytest.mark.parametrize("n", [12, 16])
 def test_sampler_selects_each_member_exactly_once(n):
     # every free prefix with every u below the largest bucket M: the accepted completions
@@ -128,6 +139,16 @@ def test_draw_below_gives_every_value_equally_often(bound):
     values = montecarlo._draw_below(WalkingRng(k), 5 * bound, bound)
     assert values.dtype == np.int64
     assert values.tolist() == list(range(bound)) * 5
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 20])
+def test_pattern_draw_gives_every_pattern_twice(n):
+    # the values below n(n+1) walked once: each (d, e), 1 <= d <= e <= n, comes out from
+    # exactly two of them and nothing else does, so uniform values give uniform patterns
+    count = n * (n + 1)
+    d, e = montecarlo._draw_patterns(WalkingRng((count - 1).bit_length()), count, n)
+    drawn = Counter(zip(d.tolist(), e.tolist()))
+    assert drawn == Counter({(i, j): 2 for i in range(1, n + 1) for j in range(i, n + 1)})
 
 
 def test_short_first_attempts_are_made_up_by_more(monkeypatch):
@@ -244,12 +265,12 @@ def test_rejects_bad_arguments():
 @pytest.mark.parametrize("n", [2**31 - 1, 10**21])
 @pytest.mark.parametrize("cls", [(None, None), (0, 0)])
 def test_refuses_n_past_the_int32_limit_before_any_work(monkeypatch, n, cls):
-    # n + 1 < 2^31 is the int64 pattern-index limit (channel.pattern_count),
-    # refused before the completion table and the first draw, which at
-    # these lengths would allocate gigabytes or overflow getrandbits
+    # past n <= 2^31 - 64, getrandbits' C int limit, refused before the completion
+    # table and the first draw, which at these lengths would allocate gigabytes
+    # or overflow getrandbits
     monkeypatch.setattr(montecarlo, "_completions", None)
     monkeypatch.setattr(montecarlo, "_draw_codewords", None)
-    with pytest.raises(ValueError, match=r"n \+ 1 < 2\^31"):
+    with pytest.raises(ValueError, match=r"n <= 2\^31 - 64, the most bits one getrandbits"):
         run_trials(n, 1, 1, *cls)
 
 
@@ -325,7 +346,7 @@ def test_trials_and_their_report_stay_on_rows(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "decode_batch", reject_trial_3)
     report = run_trials(20, 10, seed=4)
-    assert report.first_failure == "x=00010111000100001100 d=1 e=7 a1=1 a2=9 got=no synchronization"
+    assert report.first_failure == "x=00010111000100001100 d=1 e=14 a1=1 a2=9 got=no synchronization"
 
 
 def test_report_shows_the_word_the_kernel_returned(monkeypatch):
@@ -342,4 +363,4 @@ def test_report_shows_the_word_the_kernel_returned(monkeypatch):
     monkeypatch.setattr(montecarlo, "decode_batch", flip_trial_3)
     report = run_trials(20, 10, seed=4)
     assert report.failures == 1
-    assert report.first_failure == "x=00010111000100001100 d=1 e=7 a1=1 a2=9 got=10010111000100001100"
+    assert report.first_failure == "x=00010111000100001100 d=1 e=14 a1=1 a2=9 got=10010111000100001100"
