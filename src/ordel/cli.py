@@ -66,20 +66,19 @@ def _command(name: str, *options: tuple[str, dict]):
           ("--n", dict(_NEEDED, help="Word length (n >= 3).")),
           ("--a1", dict(_INT, help="Bit-sum residue mod 3.")),
           ("--a2", dict(_INT, help="Weighted-sum residue mod n+1.")),
-          ("--best", dict(action="store_true", help="Use the largest parameter class.")),
-          ("--cap", dict(_INT, help="Override the enumeration cap (default 28).")))
-def codebook_cmd(n: int, a1: int | None, a2: int | None, best: bool, cap: int | None) -> None:
+          ("--best", dict(action="store_true", help="Use the largest parameter class.")))
+def codebook_cmd(n: int, a1: int | None, a2: int | None, best: bool) -> None:
     """List all codewords of one parameter class."""
     if best:
         if a1 is not None or a2 is not None:
             raise _UsageError("--best excludes --a1/--a2")
-        vt_code.check_cap(n, cap)  # before the exact count, which the cap makes moot
+        vt_code.check_cap(n)  # before the exact count, which the cap makes moot
         params = vt_code.best_params(n)
     else:
         if a1 is None or a2 is None:
             raise _UsageError("give both --a1 and --a2, or --best")
         params = CodeParams(n, a1, a2)
-    print(vt_code.render_codebook(vt_code.enumerate_codebook(params, cap)))
+    print(vt_code.render_codebook(vt_code.enumerate_codebook(params)))
 
 
 @_command("corrupt",
@@ -92,23 +91,12 @@ def corrupt_cmd(word: str, d: int, e: int) -> None:
 
 
 @_command("decode",
-          ("--received", dict(required=True, help="Received word over '0'/'1'/'?'.")),
+          ("--received", dict(required=True, help="Received word over '0'/'1'/'?'; '?' is the erasure.")),
           ("--n", dict(_NEEDED, help="Original word length.")),
-          ("--a1", _NEEDED), ("--a2", _NEEDED),
-          ("--e", dict(_INT, help="Erasure position (must match the '?').")),
-          ("--no-erasure", dict(action="store_true", help="Assert the word has no erasure.")))
-def decode_cmd(received: str, n: int, a1: int, a2: int, e: int | None, no_erasure: bool) -> None:
+          ("--a1", _NEEDED), ("--a2", _NEEDED))
+def decode_cmd(received: str, n: int, a1: int, a2: int) -> None:
     """Recover the transmitted codeword."""
-    if e is not None and no_erasure:
-        raise _UsageError("--e and --no-erasure are mutually exclusive")
-    word = parse_received(received, n)
-    if no_erasure and word.erasure_pos is not None:
-        raise _UsageError(f"--no-erasure given but '?' found at position {word.erasure_pos}")
-    if e is not None and word.erasure_pos != e:
-        raise _UsageError(
-            f"--e {e} does not match the received word (erasure at {word.erasure_pos})"
-        )
-    outcome = decode(word, CodeParams(n, a1, a2))
+    outcome = decode(parse_received(received, n), CodeParams(n, a1, a2))
     if isinstance(outcome, DecodeFailure):
         raise _DecodeFailed(outcome.reason)
     print(outcome.word.render())
@@ -159,8 +147,6 @@ def bounds_cmd(n_list: str | None, n_grid: str | None) -> None:
         values = [start]
         while values[-1] * factor <= stop:
             values.append(values[-1] * factor)
-    if any(v < 3 for v in values):
-        raise _UsageError("all lengths must be >= 3")
     print(analysis.bounds_csv(analysis.bounds_table(values)))
 
 
@@ -170,8 +156,6 @@ def bounds_cmd(n_list: str | None, n_grid: str | None) -> None:
           ("--a2", _INT))
 def simulate_cmd(n: int, trials: int, seed: int, a1: int | None, a2: int | None) -> None:
     """Random corrupt/decode round trips; reports the failure count."""
-    if (a1 is None) != (a2 is None):
-        raise _UsageError("give both --a1 and --a2, or neither")
     report = montecarlo.run_trials(n, trials, seed, a1, a2)
     print(report.render())
     if not report.passed:

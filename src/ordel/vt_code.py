@@ -8,10 +8,10 @@ The 3(n+1) parameter classes partition {0,1}^n, so some class always has at
 least 2^n / (3(n+1)) members; ``best_params`` picks the largest one.
 
 Class sizes come from an exact count over positions, O(n^2) work, refused
-past ``COUNT_LIMIT``.  Listing a class is exponential, so it alone takes a
-cap: each prefix of the first n//2 positions takes the one bucket of ``subset_buckets``
-over the last positions that completes it, into ascending packed rows (``core.pack_rows``)
-of one uint64 word each, so n <= 64 (x_1 most significant).
+past ``COUNT_LIMIT``.  Listing a class is exponential, so it alone is refused
+past ``ENUM_CAP``: each prefix of the first n//2 positions takes the one bucket of
+``subset_buckets`` over the last positions that completes it, into ascending packed rows
+(``core.pack_rows``) of one uint64 word each (x_1 most significant).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .core import CodeParams, Word, prefix_mask, unpack_rows
 __all__ = ["COUNT_LIMIT", "Codebook", "best_of", "best_params", "check_cap", "class_sizes",
            "enumerate_codebook", "redundancy", "render_codebook"]
 
-DEFAULT_ENUM_CAP = 28  # listing: 23.5 MiB of rows for the 3.1M words of n = 28's best class
+ENUM_CAP = 28  # listing: 23.5 MiB of rows for the 3.1M words of n = 28's best class
 COUNT_LIMIT = 1 << 10  # exact counts: class_sizes(1024) takes about 0.2 s, (2048) 1-3 s
 
 
@@ -100,21 +100,20 @@ def subset_buckets(positions, m: int) -> tuple[np.ndarray, np.ndarray, int]:
     return order, np.cumsum(start, out=start), largest
 
 
-def check_cap(n: int, cap: int | None = None) -> None:
-    """Refuse n past the cap (``DEFAULT_ENUM_CAP`` if None), at most 64: one uint64 per word."""
-    limit = min(DEFAULT_ENUM_CAP if cap is None else cap, 64)
-    if n > limit:
-        raise ValueError(f"exhaustive enumeration of 2^{n} words exceeds the cap n <= {limit}")
+def check_cap(n: int) -> None:
+    """Refuse n past ``ENUM_CAP``, well inside the 64 positions of a row's one uint64 word."""
+    if n > ENUM_CAP:
+        raise ValueError(f"exhaustive enumeration of 2^{n} words exceeds the cap n <= {ENUM_CAP}")
 
 
-def enumerate_codebook(params: CodeParams, cap: int | None = None) -> Codebook:
+def enumerate_codebook(params: CodeParams) -> Codebook:
     """Collect the members of one class in lexicographic order, as ascending uint64 rows.
 
     Each prefix of the first n // 2 positions is completed by one bucket of
     the last positions; all prefixes' buckets are gathered at once.
     """
     n, m = params.n, params.n + 1
-    check_cap(n, cap)
+    check_cap(n)
     high = n // 2
     order, start, _ = subset_buckets(range(n, high, -1), m)
     prefix_key = subset_keys(range(high, 0, -1), m)

@@ -3,9 +3,12 @@
 Each entry of ``MUTANTS`` is (file, exact old text, new text, why the change is not
 equivalent).  For each, ``src``, ``tests``, ``bench`` (``test_surface`` reads it) and
 ``pyproject.toml`` are copied to a temporary directory, the old text is replaced there, and
-Tier-1 runs in the copy with ``pytest -x``.  A mutant is killed when the suite fails and
-survived when it passes.  It is stale when its old text does not occur exactly once in the
-file: a refactor moved that text, so the entry needs mending before it guards anything.
+Tier-1 runs in the copy with ``pytest -x``: the mutated module's own test file first, where
+most mutants fail within a second, then, only if that passes, the rest of the suite.  (Two
+runs, because pytest collects a file named on its command line in directory order, not
+first.)  A mutant is killed when either run fails and survived when both pass.  It is stale
+when its old text does not occur exactly once in the file: a refactor moved that text, so
+the entry needs mending before it guards anything.
 
 Run from anywhere, ``python tests/mutants.py``; the unmutated copy runs first, and nothing is
 judged if it fails.  One line per mutant and a tally go to stdout, as a Markdown list; the
@@ -64,6 +67,8 @@ MUTANTS = [
     Mutant("src/ordel/core.py", "if not 1 <= i <= len(self.bits):",
            "if not 0 <= i <= len(self.bits):",
            "Word.bit(0) returns x_n where it raises IndexError"),
+    Mutant("src/ordel/core.py", "erasure_pos = i", "erasure_pos = i - 1",
+           "the erasure one position early: decode reads it from the '?' alone"),
     Mutant("src/ordel/decoder.py", "np.where(k <= e, k, 0)", "np.where(k < e, k, 0)",
            "the batched scan refuses an insertion at k = e, where the bit sits before the erasure"),
     Mutant("src/ordel/decoder.py", "if top >= 2**63:", "if top > 2**63:",
@@ -80,13 +85,17 @@ MUTANTS = [
            "setting a bit moves a word from class a1 to a1 - 1: the a1 rows of the table swap"),
     Mutant("src/ordel/vt_code.py", "3 * m <= 1 << 16", "3 * m <= 1 << 17",
            "keys up to 3m - 1 sorted as uint16 past 2^16 wrap, so buckets get the wrong subsets"),
+    Mutant("src/ordel/vt_code.py", "if n > ENUM_CAP:", "if n >= ENUM_CAP:",
+           "listing refuses n = 28, the cap itself"),
+    Mutant("src/ordel/vt_code.py", "if n > COUNT_LIMIT:", "if n >= COUNT_LIMIT:",
+           "the exact counts refuse n = 1024, the count limit itself"),
 ]
 
 
-def pytest_status(tree: Path) -> int | None:
-    """Tier-1's exit status in ``tree``, with ``-x``; None past ``TIMEOUT_S``."""
+def pytest_status(tree: Path, *args: str) -> int | None:
+    """Tier-1's exit status in ``tree``, with ``-x`` and ``args``; None past ``TIMEOUT_S``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *args]
     try:
         return subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
@@ -104,10 +113,15 @@ def run(mutant: Mutant | None) -> str:
             shutil.copytree(ROOT / part, tree / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy(ROOT / "pyproject.toml", tree)
-        if mutant is not None:
+        if mutant is None:
+            status = pytest_status(tree)
+        else:
             path = tree / mutant.file
             path.write_text(path.read_text().replace(mutant.old, mutant.new))
-        status = pytest_status(tree)
+            own = f"tests/test_{path.stem}.py"
+            status = pytest_status(tree, own)
+            if status == 0:
+                status = pytest_status(tree, f"--ignore={own}")
     return "timed out" if status is None else "survived" if status == 0 else "killed"
 
 

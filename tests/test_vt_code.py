@@ -117,23 +117,21 @@ class TestEnumerate:
             for a2 in range(n + 1):
                 assert sizes[a1, a2] == len(enumerate_codebook(CodeParams(n, a1, a2)).words)
 
-    def test_cap_refusal_and_override(self):
-        with pytest.raises(ValueError, match="cap"):
-            enumerate_codebook(CodeParams(6, 0, 0), cap=5)
-        assert len(enumerate_codebook(CodeParams(6, 0, 0), cap=6).words) > 0
-        with pytest.raises(ValueError, match="cap n <= 28"):
+    def test_cap_refusal(self):
+        with pytest.raises(ValueError) as refused:
             enumerate_codebook(CodeParams(29, 0, 0))
+        assert str(refused.value) == "exhaustive enumeration of 2^29 words exceeds the cap n <= 28"
 
-    def test_one_word_a_row_whatever_the_cap(self, monkeypatch):
-        # n = 65 is refused before any table work; n = 64 gets as far as the tables
+    def test_refused_before_any_table(self, monkeypatch):
+        # n = 29 is refused before any table work; n = 28 gets as far as the tables
         def no_table(*args):
             raise AssertionError("a table was built")
 
         monkeypatch.setattr(vt_code, "subset_buckets", no_table)
-        with pytest.raises(ValueError, match="2\\^65 words exceeds the cap n <= 64"):
-            enumerate_codebook(CodeParams(65, 0, 0), cap=65)
+        with pytest.raises(ValueError, match="2\\^29 words exceeds the cap n <= 28"):
+            enumerate_codebook(CodeParams(29, 0, 0))
         with pytest.raises(AssertionError, match="a table was built"):
-            enumerate_codebook(CodeParams(64, 0, 0), cap=64)
+            enumerate_codebook(CodeParams(28, 0, 0))
 
 
 class TestEveryClass:
