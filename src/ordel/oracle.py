@@ -1,13 +1,13 @@
 """Brute-force verification, kept independent of the decoder.
 
-``brute_force_decode`` inserts a bit into y once per run it could join, fills the erasure,
-and keeps the candidates that meet the class's two congruences (summed by definition) and
-re-corrupt to y: O(n^2) work, no codebook rows.  Each sweep corrupts only the rows (codeword,
-d <= e) whose d starts a run, in the order it reports.  ``verify_code`` and
-``deletion_balls_disjoint`` look for a key two codewords share; as ``brute_force_decode``, they
-take nothing from ``decoder`` and touch no checksum, so their agreement with it, which
-``verify_decoder`` checks on every run-start row, is genuine evidence.  ``check_rows`` charges
-|C| * n(n+1)/2 rows, refusing from |C| alone, and n > 64.
+``brute_force_decode`` inserts a bit into y once per run it could join, fills the erasure, and
+keeps the candidates that meet the class's two congruences (summed by definition) and re-corrupt to
+y: O(n^2) work, no codebook rows.  Each sweep takes only the rows (codeword, d <= e) whose d starts
+a run, in the order it reports.  The keyed sweeps, ``verify_code`` and ``deletion_balls_disjoint``,
+corrupt each run start once, at e = n (pool e is those keys with position e erased), and look for a
+key two codewords share.  As ``brute_force_decode``, they take nothing from ``decoder`` and touch
+no checksum, so their agreement with it, which ``verify_decoder`` checks on every run-start row, is
+genuine evidence.  ``check_rows`` charges |C| * n(n+1)/2 rows, refusing from |C| alone, and n > 64.
 """
 
 from __future__ import annotations
@@ -77,13 +77,13 @@ def _run_starts(codebook: Codebook) -> np.ndarray:
     return unpack_rows(w ^ w >> 1 | np.uint64(1 << 63), codebook.params.n).view(bool)
 
 
-def _keys(codebook: Codebook, owner: np.ndarray, d: np.ndarray, e: int) -> np.ndarray:
-    """The owners' rows corrupted by (d, e), one e for all, as uint64 keys: BATCH_WORDS rows a
-    ``corrupt_batch`` call, so no transient grows.  The erasure's stored 0 collides as '?' does."""
+def _balls(codebook: Codebook, owner: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The owners' rows with x_d deleted, as uint64 keys: ``corrupt_batch`` at e = n,
+    BATCH_WORDS rows a call, so no transient grows.  Their position n - 1 holds a pad 0."""
     keys, n = np.empty(len(owner), np.uint64), codebook.params.n
     for s in range(0, len(owner), BATCH_WORDS):
         t = slice(s, s + BATCH_WORDS)
-        keys[t] = corrupt_batch(codebook.rows[owner[t]], n, d[t], np.full_like(d[t], e))[:, 0]
+        keys[t] = corrupt_batch(codebook.rows[owner[t]], n, d[t], np.full_like(d[t], n))[:, 0]
     return keys
 
 
@@ -131,24 +131,24 @@ def verify_code(codebook: Codebook) -> VerificationReport:
     words of every pattern (d, e) are pooled in (d, codeword) order: the reported violation is
     deterministic, and its d is the one x2 takes.  Only rows whose d starts a run are pooled:
     a word's first row and the first collision are such rows; ``checked`` counts every row.
+    Each is corrupted once: pool e is the ``_balls`` keys with d <= e, position e erased to 0.
     Two such rows of one codeword never collide (Levenshtein): a pool passes iff its keys differ.
     """
-    n, size, checked = codebook.params.n, len(codebook), 0
-    run_d, run_owner = np.nonzero(_run_starts(codebook).T)
-    run_d += 1  # once, in place: a new array per pool cost 9% of the sweep at n = 20
+    n, size = codebook.params.n, len(codebook)
+    d, owner = np.nonzero(_run_starts(codebook).T)
+    d, owner = d.astype(np.uint8) + 1, owner.astype(np.int32)  # n <= 64, |C| < 2^27: check_rows
+    balls = _balls(codebook, owner, d)
     for e in range(1, n + 1):
-        m = np.searchsorted(run_d, e, side="right")  # e's pool, the rows with d <= e: a prefix
-        d, owner = run_d[:m], run_owner[:m]
-        first = _first_equal(_keys(codebook, owner, d, e))
+        m = np.searchsorted(d, e, side="right")  # e's pool, the rows with d <= e: a prefix
+        first = _first_equal(balls[:m] & ~np.uint64(1 << 64 - e))
         # only a broken channel repeats one codeword's key: such a pool goes on
-        if first is not None and (clash := owner[first] != owner).any():
+        if first is not None and (clash := owner[first] != owner[:m]).any():
             j = int(clash.argmax())
             x1, x2 = map(render_bits, unpack_rows(codebook.rows[owner[[first[j], j]]], n))
             failure = f"FAIL x1={x1} x2={x2} d={d[j]} e={e}"
-            checked += int((d[j] - 1) * size + owner[j]) + 1  # the row's place in the full order
+            checked = (e * (e - 1) // 2 + int(d[j]) - 1) * size + int(owner[j]) + 1  # j's place
             return VerificationReport("code-capability", checked, failure)
-        checked += e * size
-    return VerificationReport("code-capability", checked)
+    return VerificationReport("code-capability", size * (n * (n + 1) // 2))
 
 
 def verify_decoder(codebook: Codebook) -> VerificationReport:
@@ -187,7 +187,7 @@ def deletion_balls_disjoint(codebook: Codebook) -> VerificationReport:
     """
     n, size = codebook.params.n, len(codebook)
     owner, d = np.divmod(np.flatnonzero(_run_starts(codebook)), n)  # 3x np.nonzero's speed in 2-D
-    first = _first_equal(_keys(codebook, owner, d + 1, n))
+    first = _first_equal(_balls(codebook, owner, d + 1))
     if first is None:
         return VerificationReport("deletion-balls", size * n)
     # j: codeword i's first repeated row, shared unless i's ball is short; k gave j's word first

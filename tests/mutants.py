@@ -51,8 +51,10 @@ MUTANTS = [
     Mutant(ORACLE, "owner, d = np.divmod(np.flatnonzero(_run_starts(codebook)), n)",
            "d, owner = np.divmod(np.flatnonzero(_run_starts(codebook).T), len(codebook))",
            "the ball rows in (d, codeword) order: an earlier codeword's later run is seen first"),
-    Mutant(ORACLE, "np.full_like(d[t], e)", "np.full_like(d[t], n)",
+    Mutant(ORACLE, "balls[:m] & ~np.uint64(1 << 64 - e)", "balls[:m]",
            "every pool keyed at e = n: no erasure, so the capability sweep misses its collisions"),
+    Mutant(ORACLE, "(e * (e - 1) // 2 + int(d[j]) - 1)", "(e * (e + 1) // 2 + int(d[j]) - 1)",
+           "a failing capability row's checked count takes in all of its own pool's rows"),
     Mutant(ORACLE, "    check_rows(codebook.params.n, len(codebook))\n", "",
            "the sweeps no longer refuse past the row cap or past n = 64"),
     Mutant("src/ordel/analysis.py", "return math.log2(n + 1) + math.log2(3)",

@@ -590,7 +590,9 @@ class TestDeletionBalls:
             (2, "FAIL x1=00000000 x2=00001110 d=1 e=1"),
         ]
 
-    def test_corrupts_one_row_per_run(self, monkeypatch):
+    @pytest.mark.parametrize("sweep", [deletion_balls_disjoint, verify_code])
+    def test_corrupts_one_row_per_run(self, monkeypatch, sweep):
+        # the capability sweep's pools are these rows with position e erased, not corrupted anew
         real, corrupted = oracle.corrupt_batch, []
 
         def count_rows(words, n, d, e):
@@ -599,7 +601,7 @@ class TestDeletionBalls:
 
         monkeypatch.setattr(oracle, "corrupt_batch", count_rows)
         codebook = enumerate_codebook(best_params(13))
-        assert deletion_balls_disjoint(codebook).passed
+        assert sweep(codebook).passed
         runs = sum(1 + sum(a != b for a, b in zip(x.bits, x.bits[1:])) for x in codebook.words)
         assert sum(corrupted) == runs == 1367
 

@@ -134,6 +134,19 @@ class TestEnumerate:
             enumerate_codebook(CodeParams(28, 0, 0))
 
 
+@pytest.mark.parametrize("n", [21844, 21845])
+def test_subset_buckets_either_side_of_the_uint16_key_limit(n):
+    # the fixed-class completion positions at n: 3 and each power of two below n.  Keys reach
+    # 3m - 1, m = n + 1: 65,534 at n = 21844, sorted as uint16, and 65,537 at n = 21845, as int32
+    positions, m = sorted([3] + [1 << j for j in range(n.bit_length())]), n + 1
+    key = vt_code.subset_keys(positions, m)
+    order, start, largest = vt_code.subset_buckets(positions, m)
+    assert key.max() == 3 * m - 1 and (key.max() >= 1 << 16) == (n == 21845)
+    assert (order == np.argsort(key.astype(np.int64), kind="stable")).all()
+    sizes = np.bincount(key, minlength=3 * m)
+    assert (start == np.concatenate(([0], np.cumsum(sizes)))).all() and largest == sizes.max()
+
+
 class TestEveryClass:
     """Each class, row for row, is the lexicographic cube filtered by plain numpy sums.
 
