@@ -24,9 +24,9 @@ symbol, so each pass costs O(n) integer ops (``checksum_step``).  Checksums
 peak near n^2 and are reduced only at comparison time; they are exact Python
 ints, so the scalar ``decode`` has no length limit of its own.
 
-``decode_batch`` runs the same two steps on packed rows (``core.pack_rows``, 64
-positions per uint64 word), with sums from word popcounts and one scan per row as a
-count of 1s; the scalar ``decode`` stays the reference it is tested against.
+``decode_batch`` runs the same two steps on packed rows (``core.pack_rows``, 64 positions per
+uint64 word), with sums from word popcounts and one scan per row as a count of 1s; the scalar
+``decode`` stays its reference.  ``round_trip`` corrupts, decodes and compares a batch with it.
 """
 
 from __future__ import annotations
@@ -37,11 +37,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import CodeParams, ReceivedWord, Word, pack_rows, prefix_mask
+from .channel import corrupt_batch
+from .core import CodeParams, ReceivedWord, Word, pack_rows, prefix_mask, render_bits, unpack_rows
 
 __all__ = ["FAILURE_STATUS", "INVALID_DISCREPANCY", "NO_SYNC", "BitHypothesis", "DecodeFailure",
            "Recovered", "checksum_step", "decode", "decode_batch", "discrepancy",
-           "hypothesis_checksum", "row_sums"]
+           "hypothesis_checksum", "round_trip", "row_sums"]
 
 NO_SYNC = "no synchronization"
 INVALID_DISCREPANCY = "invalid discrepancy"
@@ -257,3 +258,15 @@ def decode_batch(y: np.ndarray, n: int, e, a1, a2) -> tuple[np.ndarray, np.ndarr
     keep, through = prefix_mask((before, before + 1), width)
     guesses = (through ^ keep) * (deleted == 1)[:, None] | (thru_e ^ pre_e) * (erased == 1)[:, None]
     return y & keep | shifted & ~through | guesses, k, status
+
+
+def round_trip(words: np.ndarray, n: int, d, e, a1, a2):
+    """Corrupt rows by (d, e), decode in class (a1, a2), compare: the failing rows, None or the first
+    as text (index, word, decoded word or failure reason), and ``decode_batch``'s return."""
+    kernel = decoded, _, status = decode_batch(corrupt_batch(words, n, d, e), n, e, a1, a2)
+    bad = np.flatnonzero((status < 1) | (decoded != words).any(axis=1))
+    if not bad.size:
+        return bad, None, kernel
+    i = bad[0]
+    x, z = map(render_bits, unpack_rows(np.stack((words[i], decoded[i])), n))
+    return bad, (i, x, z if status[i] > 0 else FAILURE_STATUS[status[i]]), kernel

@@ -23,9 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import corrupt_batch
-from .core import CodeParams, prefix_mask, render_bits, unpack_rows
-from .decoder import BATCH_WORDS, FAILURE_STATUS, decode_batch, row_sums
+from .core import CodeParams, prefix_mask
+from .decoder import BATCH_WORDS, round_trip, row_sums
 from .vt_code import class_sizes, subset_buckets
 
 __all__ = ["TrialReport", "run_trials"]
@@ -139,9 +138,8 @@ def run_trials(
 ) -> TrialReport:
     """Round-trip `trials` random corruptions at length n; count decode failures.
 
-    Trials run in batches of BATCH_WORDS // ceil(n / 64) words through ``corrupt_batch``
-    and ``decode_batch``; the first failing trial, if any, is described by what the
-    kernel returned for it: the decoded word, or its failure reason.
+    Trials run in batches of BATCH_WORDS // ceil(n / 64) words through ``decoder.round_trip``,
+    which describes the first failing trial by the decoded word or failure reason it got.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
@@ -167,12 +165,10 @@ def run_trials(
         count = min(rows, trials - done)
         words, s1, s2 = _draw_codewords(rng, n, count, a1, a2, table)
         d, e = _draw_patterns(rng, count, n)
-        decoded, _, status = decode_batch(corrupt_batch(words, n, d, e), n, e, s1, s2)
-        bad = np.flatnonzero((status < 1) | (decoded != words).any(axis=1))
+        # kernel held to the next batch: freed, glibc trims the heap and the next batch refaults it
+        bad, first, kernel = round_trip(words, n, d, e, s1, s2)
         failures += bad.size
-        if bad.size and first_failure is None:
-            i = bad[0]
-            x, z = unpack_rows(np.stack((words[i], decoded[i])), n)
-            got = render_bits(z) if status[i] > 0 else FAILURE_STATUS[status[i]]
-            first_failure = f"x={render_bits(x)} d={d[i]} e={e[i]} a1={s1[i]} a2={s2[i]} got={got}"
+        if first is not None and first_failure is None:
+            i, x, got = first
+            first_failure = f"x={x} d={d[i]} e={e[i]} a1={s1[i]} a2={s2[i]} got={got}"
     return TrialReport(n, trials, seed, mode, failures, first_failure)

@@ -46,8 +46,6 @@ MUTANTS = [
            "a decoder block one codeword larger can pass BATCH_WORDS rows a kernel call"),
     Mutant(ORACLE, "int(place[j]) + 1, failure)", "int(place[j]), failure)",
            "a failing decoder row's checked count misses the row itself"),
-    Mutant(ORACLE, "j = bad[0]", "j = bad[-1]",
-           "a block with two failing rows reports the later one"),
     Mutant(ORACLE, "owner, d = np.divmod(np.flatnonzero(_run_starts(codebook)), n)",
            "d, owner = np.divmod(np.flatnonzero(_run_starts(codebook).T), len(codebook))",
            "the ball rows in (d, codeword) order: an earlier codeword's later run is seen first"),
@@ -57,6 +55,8 @@ MUTANTS = [
            "a failing capability row's checked count takes in all of its own pool's rows"),
     Mutant(ORACLE, "    check_rows(codebook.params.n, len(codebook))\n", "",
            "the sweeps no longer refuse past the row cap or past n = 64"),
+    Mutant(ORACLE, "if n > 64:", "if n > 128:",
+           "at n = 65 the sweeps read only the first 64 positions of each row"),
     Mutant("src/ordel/analysis.py", "return math.log2(n + 1) + math.log2(3)",
            "return math.log2(n) + math.log2(3)",
            "the pigeonhole bound counts 3(n + 1) classes, not 3n"),
@@ -66,6 +66,8 @@ MUTANTS = [
     Mutant("src/ordel/cli.py", "failed = failed or not report.passed",
            "failed = failed and not report.passed",
            "a failing verify report no longer sets exit status 1"),
+    Mutant("src/ordel/cli.py", "if not report.passed:", "if False:",
+           "a simulate run with failed trials exits 0, not 2"),
     Mutant("src/ordel/core.py", "if not 1 <= i <= len(self.bits):",
            "if not 0 <= i <= len(self.bits):",
            "Word.bit(0) returns x_n where it raises IndexError"),
@@ -75,6 +77,12 @@ MUTANTS = [
            "the batched scan refuses an insertion at k = e, where the bit sits before the erasure"),
     Mutant("src/ordel/decoder.py", "if top >= 2**63:", "if top > 2**63:",
            "a largest weighted sum of exactly 2^63 passes the guard and overflows int64"),
+    Mutant("src/ordel/decoder.py", "(status < 1) | (decoded != words)", "(decoded != words)",
+           "a row the kernel fails, but whose stale word matches, counts as a round trip"),
+    Mutant("src/ordel/decoder.py", "i = bad[0]", "i = bad[-1]",
+           "a batch with two failing rows reports the later one"),
+    Mutant("src/ordel/decoder.py", "z if status[i] > 0 else", "z if status[i] >= 0 else",
+           "a row with no synchronization shows the kernel's unspecified word, not the reason"),
     Mutant("src/ordel/montecarlo.py", "ok = u < start[key + 1] - start[key]",
            "ok = u <= start[key + 1] - start[key]",
            "the sampler keeps u equal to the bucket size, one entry past the bucket"),

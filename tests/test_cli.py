@@ -25,6 +25,11 @@ def invoke(capsys, *argv):
     return status, captured.out, captured.err
 
 
+def reject_row_3(y, e, words, status):
+    """An ``edit_kernel`` edit: the kernel fails row 3 of each call."""
+    status[3] = 0
+
+
 class TestCorrupt:
     def test_delete_and_erase(self, capsys):
         status, out, err = invoke(capsys, "corrupt", "--word", "10110", "--d", "2", "--e", "3")
@@ -339,6 +344,16 @@ class TestSimulate:
             assert (status, out) == (1, "")
             assert err == f"error: n = {n} is past n < 2^22, the limit of the fixed-class completion table\n"
 
+    def test_a_failing_trial_exits_2(self, capsys, edit_kernel):
+        # the kernel rejects trial 3: the report names it, and simulate ends with exit status 2
+        edit_kernel(reject_row_3)
+        status, out, err = invoke(capsys, "simulate", "--n", "20", "--trials", "10", "--seed", "4")
+        assert (status, err) == (2, "error: 1 round-trip failures\n")
+        assert out == (
+            "n=20 trials=10 seed=4 mode=per-word-class failures=1\n"
+            "first_failure: x=00010111000100001100 d=1 e=14 a1=1 a2=9 got=no synchronization\n"
+        )
+
     def test_partial_class_rejected(self, capsys):
         for residue in (["--a1", "0"], ["--a2", "0"]):
             status, out, err = invoke(
@@ -479,6 +494,60 @@ class TestExhaustiveOutputPinned:
         lines = invoke(capsys, "codebook", "--n", "12", "--best")[1].splitlines()
         assert lines[:3] == ["n=12 a1=0 a2=0", "000000000000", "000000101100"]
         assert lines[-1] == "111111111111"
+
+    @pytest.mark.parametrize(
+        "argv, rejects, status, digest, err",
+        [
+            (("simulate", "--n", "1000", "--trials", "100000", "--seed", "1"), False, 0,
+             "c519493d976fa6bc07d97008ed420fd154d78d68553b4ae13930a51e238585bf", ""),
+            (("simulate", "--n", "64", "--trials", "20000", "--seed", "1", "--a1", "0", "--a2", "0"),
+             False, 0, "ad4baf36b30b88c81b8c691106dc1358646a62a643662db86b26cf970a78dc90", ""),
+            (("simulate", "--n", "20", "--trials", "10", "--seed", "4"), True, 2,
+             "5a1176ed49964857aa4249897cb295355ba260d1dbe7e1aae0eb91bf2704eb5e",
+             "error: 1 round-trip failures\n"),
+            (("simulate", "--n", "40", "--trials", "6", "--seed", "9", "--a1", "2", "--a2", "17"),
+             True, 2, "197b65d93f773a71e3b50204a38ef80673821883001d56054b79ad2d8d7ef865",
+             "error: 1 round-trip failures\n"),
+            (("verify", "--n", "8", "--all-params"), False, 0,
+             "26ede88044d23fd0cedc34501a16d67bf869e8b097a4f5bb2a7b7710bd543cb5", ""),
+            (("verify", "--n", "13"), False, 0,
+             "e910e79d3e2627284ad235fce5e472aba2920413b672912b3d3556b47e1c73cf", ""),
+            (("verify", "--n", "8"), True, 1,
+             "a1fce0b5fca20173e2121331a47cad0b7f638a7da02e4adea43edb6391118861",
+             "error: verification failed\n"),
+            (("corrupt", "--word", "10110", "--d", "2", "--e", "3"), False, 0,
+             "b2b94707c8f2761bef4bb2ab4569cf26383165f25c7e5e6e92664be37af756e2", ""),
+            (("corrupt", "--word", "10110", "--d", "2", "--e", "5"), False, 0,
+             "81d05477a3dfd252c71b0b4b76c2d4613cdd14ee0f2fafead5be1a2f8544efe0", ""),
+            (("decode", "--received", "1?1", "--n", "4", "--a1", "2", "--a2", "0"), False, 0,
+             "d6a1a767319c3bf2a337b16e3a14916f63e432872e0f8df1cb73b32a8b338ae4", ""),
+            (("decode", "--received", "0110", "--n", "5", "--a1", "0", "--a2", "2"), False, 0,
+             "136712be50948e2e85058a97c177220c977adbe01130b9426c713247b5f7d22d", ""),
+            (("decode", "--received", "000", "--n", "4", "--a1", "2", "--a2", "0"), False, 2,
+             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+             "error: invalid discrepancy\n"),
+            (("codebook", "--n", "8", "--best"), False, 0,
+             "f9f06b6c26a9ed5deac9ab0e2594a2a44d4180ae747eeff2f75f91bfe415e396", ""),
+            (("bounds", "--n-list", "3,7,100"), False, 0,
+             "bfba04ab7e4ef245ac561e03075f4131627d0b2cd156a2c4f96958ee636014c7", ""),
+            (("bounds", "--n-grid", "1000:1000000000:10"), False, 0,
+             "c4643cf34993d98dd98bc7054f3c3781c29b30f4cc8c485f4b120db4e0c781c6", ""),
+            (("runs", "--n", "16"), False, 0,
+             "dde0b74acaf9c0d8021eb4efe75e32de808c25f8d76b5f8cd338649d97a5bd1b", ""),
+        ],
+        ids=["simulate-n1000", "simulate-fixed-n64", "simulate-rejected", "simulate-fixed-rejected",
+             "verify-n8-all", "verify-n13", "verify-rejected", "corrupt", "corrupt-deletion",
+             "decode", "decode-deletion", "decode-failure", "codebook", "bounds-list",
+             "bounds-grid", "runs"],
+    )
+    def test_byte_identity(self, capsys, edit_kernel, argv, rejects, status, digest, err):
+        # README's CLI examples and the round-trip commands, pinned by exit status, stdout's
+        # SHA-256 and stderr; a rejects row has the kernel reject row 3 of each call, so
+        # both failure lines, simulate's got= and verify's x2=, are pinned too
+        if rejects:
+            edit_kernel(reject_row_3)
+        got, out, got_err = invoke(capsys, *argv)
+        assert (got, hashlib.sha256(out.encode()).hexdigest(), got_err) == (status, digest, err)
 
 
 def test_cli_import_binds_every_submodule():

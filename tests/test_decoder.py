@@ -31,6 +31,7 @@ from ordel.decoder import (
     decode_batch,
     discrepancy,
     hypothesis_checksum,
+    round_trip,
     row_sums,
 )
 from ordel.vt_code import best_params, enumerate_codebook
@@ -593,3 +594,51 @@ class TestBatchLimits:
         assert int(row_sums(one, 1, 2**63 - 1)[1][0]) == 2**63 - 1
         with pytest.raises(ValueError, match=r"2\^63"):
             row_sums(one, 1, 2**63)
+
+
+def round_trip_batch() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """36 rows at n = 8: pattern p of ``all_patterns`` on member p mod 11 of class (0, 0)."""
+    members = enumerate_codebook(CodeParams(8, 0, 0)).rows
+    d, e = np.add(np.triu_indices(8), 1)
+    return members[np.arange(len(d)) % len(members)], d, e
+
+
+def row_text(row: np.ndarray) -> str:
+    """One packed row of length 8 as '0'/'1' text."""
+    return "".join(map(str, unpack_rows(row[None], 8)[0].tolist()))
+
+
+class TestRoundTrip:
+    """``round_trip``: corrupt, decode and compare one batch, and its first failure as text."""
+
+    def test_a_passing_batch_returns_the_kernel(self):
+        words, d, e = round_trip_batch()
+        bad, first, kernel = round_trip(words, 8, d, e, 0, 0)
+        want = decode_batch(corrupt_batch(words, 8, d, e), 8, e, 0, 0)
+        assert (bad.tolist(), first) == ([], None)
+        assert all(np.array_equal(got, exp) for got, exp in zip(kernel, want, strict=True))
+
+    @pytest.mark.parametrize("code", [0, -1])
+    def test_a_status_below_1_fails_a_recovered_word(self, edit_kernel, code):
+        # rows 3 and 7 keep their decoded words, but their status fails them: the first is
+        # named by the reason its status stands for
+        def reject(y, e, words, status):
+            status[[3, 7]] = code
+
+        words, d, e = round_trip_batch()
+        edit_kernel(reject)
+        bad, first, (_, _, status) = round_trip(words, 8, d, e, 0, 0)
+        x = row_text(words[3])
+        assert (bad.tolist(), first, status[7]) == ([3, 7], (3, x, FAILURE_STATUS[code]), code)
+
+    def test_another_word_fails_a_row_and_is_shown(self, edit_kernel):
+        # row 5 "recovers" its word with the first bit flipped, row 9 is rejected later
+        def edit(y, e, words, status):
+            words[5, 0] ^= np.uint64(1 << 63)
+            status[9] = 0
+
+        words, d, e = round_trip_batch()
+        edit_kernel(edit)
+        bad, first, _ = round_trip(words, 8, d, e, 0, 0)
+        x = row_text(words[5])
+        assert (bad.tolist(), first) == ([5, 9], (5, x, ("1" if x[0] == "0" else "0") + x[1:]))

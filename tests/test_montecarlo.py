@@ -274,17 +274,13 @@ def test_refuses_n_past_the_int32_limit_before_any_work(monkeypatch, n, cls):
         run_trials(n, 1, 1, *cls)
 
 
-def test_rejected_trial_counted_and_described(monkeypatch):
+def reject_trial_3(y, e, words, status):
+    status[3] = 0
+
+
+def test_rejected_trial_counted_and_described(edit_kernel):
     # the kernel rejects trial 3; the report gives the kernel's failure reason
-    real = montecarlo.decode_batch
-
-    def reject_trial_3(y, n, e, a1, a2):
-        words, k, status = real(y, n, e, a1, a2)
-        status = status.copy()
-        status[3] = 0
-        return words, k, status
-
-    monkeypatch.setattr(montecarlo, "decode_batch", reject_trial_3)
+    edit_kernel(reject_trial_3)
     report = run_trials(20, 10, seed=4)
     assert report.failures == 1 and not report.passed
     line = re.fullmatch(
@@ -301,16 +297,11 @@ def test_rejected_trial_counted_and_described(monkeypatch):
     )
 
 
-def test_rejected_fixed_class_trial_carries_the_class(monkeypatch):
-    real = montecarlo.decode_batch
-
-    def reject_trial_2(y, n, e, a1, a2):
-        words, k, status = real(y, n, e, a1, a2)
-        status = status.copy()
+def test_rejected_fixed_class_trial_carries_the_class(edit_kernel):
+    def reject_trial_2(y, e, words, status):
         status[2] = 0
-        return words, k, status
 
-    monkeypatch.setattr(montecarlo, "decode_batch", reject_trial_2)
+    edit_kernel(reject_trial_2)
     report = run_trials(40, 6, seed=9, a1=2, a2=17)
     assert report.failures == 1 and not report.passed
     line = re.fullmatch(
@@ -327,7 +318,7 @@ def test_rejected_fixed_class_trial_carries_the_class(monkeypatch):
     )
 
 
-def test_trials_and_their_report_stay_on_rows(monkeypatch):
+def test_trials_and_their_report_stay_on_rows(monkeypatch, edit_kernel):
     # no scalar corrupt or decode runs, for the trials or for the failure report
     def scalar(*args):
         raise AssertionError("a scalar corrupt or decode ran")
@@ -336,31 +327,18 @@ def test_trials_and_their_report_stay_on_rows(monkeypatch):
         monkeypatch.setattr(montecarlo, name, scalar, raising=False)
     assert run_trials(50, 2000, seed=7).passed
     assert run_trials(40, 500, seed=3, a1=2, a2=17).passed
-    real = montecarlo.decode_batch
-
-    def reject_trial_3(y, n, e, a1, a2):
-        words, k, status = real(y, n, e, a1, a2)
-        status = status.copy()
-        status[3] = 0
-        return words, k, status
-
-    monkeypatch.setattr(montecarlo, "decode_batch", reject_trial_3)
+    edit_kernel(reject_trial_3)
     report = run_trials(20, 10, seed=4)
     assert report.first_failure == "x=00010111000100001100 d=1 e=14 a1=1 a2=9 got=no synchronization"
 
 
-def test_report_shows_the_word_the_kernel_returned(monkeypatch):
+def test_report_shows_the_word_the_kernel_returned(edit_kernel):
     # the kernel "recovers" trial 3 with one bit flipped: the report shows that word
-    real = montecarlo.decode_batch
-
-    def flip_trial_3(y, n, e, a1, a2):
-        words, k, status = real(y, n, e, a1, a2)
-        words, status = words.copy(), status.copy()
+    def flip_trial_3(y, e, words, status):
         words[3, 0] ^= np.uint64(1 << 63)  # the packed word's first position
         status[3] = 1
-        return words, k, status
 
-    monkeypatch.setattr(montecarlo, "decode_batch", flip_trial_3)
+    edit_kernel(flip_trial_3)
     report = run_trials(20, 10, seed=4)
     assert report.failures == 1
     assert report.first_failure == "x=00010111000100001100 d=1 e=14 a1=1 a2=9 got=10010111000100001100"

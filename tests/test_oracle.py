@@ -110,18 +110,17 @@ def kernel_key(codebook: Codebook, e: int, d: int, i: int) -> tuple[int, int]:
     return pack_rows(np.array([[s or 0 for s in y.symbols]], np.uint8), y.n)[0, 0], e
 
 
-def reject_rows(monkeypatch, keys: list[tuple[int, int]]) -> list[list[int]]:
-    """Make ``oracle.decode_batch`` fail the rows with these (y, e) keys; per kernel call,
-    the positions in ``keys`` of the rows it saw."""
-    real, calls = oracle.decode_batch, []
+def reject_rows(edit_kernel, keys: list[tuple[int, int]]) -> list[list[int]]:
+    """Make the kernel fail the rows with these (y, e) keys; per kernel call, the positions
+    in ``keys`` of the rows it saw."""
+    calls = []
 
-    def reject(y, n, e, a1, a2):
-        words, k, status = real(y, n, e, a1, a2)
+    def reject(y, e, words, status):
         hits = [(y[:, 0] == word) & (e == at) for word, at in keys]
         calls.append([j for j, hit in enumerate(hits) if hit.any()])
-        return words, k, np.where(np.any(hits, axis=0), 0, status)
+        status[np.any(hits, axis=0)] = 0
 
-    monkeypatch.setattr(oracle, "decode_batch", reject)
+    edit_kernel(reject)
     return calls
 
 
@@ -373,6 +372,16 @@ class TestVerifyCode:
         with pytest.raises(ValueError, match="code length 4"):
             sweep(Codebook(CodeParams(4, 2, 0), rows("10011")))
 
+    @pytest.mark.parametrize("sweep", [verify_code, verify_decoder, deletion_balls_disjoint])
+    def test_refuses_words_past_one_uint64(self, sweep):
+        # two words that differ only in x_65, which one uint64 word a row would not hold
+        # (deleting x_65 gives both one word), are refused, far under the row cap; at n = 64
+        # two members of one class pass
+        with pytest.raises(ValueError, match="n <= 64, got n = 65"):
+            sweep(Codebook(CodeParams(65, 0, 0), rows("0" * 65, "0" * 64 + "1")))
+        members = rows("0" * 64, "11" + "0" * 59 + "100")  # 1 + 2 + 62 = 65: a2 = 0 mod 65
+        assert sweep(Codebook(CodeParams(64, 0, 0), members)).passed
+
 
 class TestVerifyDecoder:
     @pytest.mark.parametrize("n", range(3, 9))
@@ -387,7 +396,7 @@ class TestVerifyDecoder:
         assert report.checked == 1
         assert report.render() == "FAIL x1=0001 x2=no-synchronization d=1 e=1"
 
-    def test_checked_counts_rows_across_batches(self, monkeypatch):
+    def test_checked_counts_rows_across_batches(self, monkeypatch, edit_kernel):
         # the kernel rejects the row 4 * 2^10 of the decoder's walk; the report counts that
         # row's place among all codebook x all_patterns rows and shows the kernel's failure
         # reason; with 2^10 rows per batch a call takes at most 2^10 rows, so that row of the
@@ -395,7 +404,7 @@ class TestVerifyDecoder:
         monkeypatch.setattr(oracle, "BATCH_WORDS", 1 << 10)
         codebook = enumerate_codebook(best_params(13))
         e, d, i = row = decoder_walk(codebook)[4 << 10]
-        calls = reject_rows(monkeypatch, [kernel_key(codebook, *row)])
+        calls = reject_rows(edit_kernel, [kernel_key(codebook, *row)])
         report = verify_decoder(codebook)
         place = full_order_place(codebook, *row)
         assert calls.index([0]) >= 2 and sum(map(len, calls)) == 1 and place > 4 << 10
@@ -404,14 +413,14 @@ class TestVerifyDecoder:
             f"FAIL x1={codebook.words[i].render()} x2=no-synchronization d={d} e={e}"
         )
 
-    def test_reports_the_first_failing_row_and_stops(self, monkeypatch):
+    def test_reports_the_first_failing_row_and_stops(self, monkeypatch, edit_kernel):
         # two rejected rows: codeword 10 under (1, 1) and codeword 0 under (1, 8); the report
         # names codeword 0's, first in codebook x all_patterns order, and the walk stops at the
         # block that holds it (one codeword a block at 16 rows): the kernel never sees the other
         monkeypatch.setattr(oracle, "BATCH_WORDS", 16)
         codebook = enumerate_codebook(best_params(8))
         early, late = (1, 1, 10), (8, 1, 0)
-        calls = reject_rows(monkeypatch, [kernel_key(codebook, *early), kernel_key(codebook, *late)])
+        calls = reject_rows(edit_kernel, [kernel_key(codebook, *early), kernel_key(codebook, *late)])
         report = verify_decoder(codebook)
         assert len(codebook) == 11 and calls == [[1]]
         assert full_order_place(codebook, *late) < full_order_place(codebook, *early)
@@ -421,37 +430,30 @@ class TestVerifyDecoder:
         )
 
     @pytest.mark.parametrize("batch", [16, 1 << 10])
-    def test_blocks_stay_bounded_and_stop_at_the_failing_row(self, monkeypatch, batch):
+    def test_blocks_stay_bounded_and_stop_at_the_failing_row(self, monkeypatch, edit_kernel, batch):
         # at n = 13 a block is max(1, batch // 91) codewords of 91 patterns, so no kernel call
         # takes more than max(batch, 91) rows, and none comes after the rejected row's; at
         # batch 16, some block of two codewords would pass 91 rows
         monkeypatch.setattr(oracle, "BATCH_WORDS", batch)
         codebook = enumerate_codebook(best_params(13))
         row = decoder_walk(codebook)[4 << 10]
-        sizes, real = [], oracle.decode_batch
-
-        def count_rows(y, n, e, a1, a2):
-            sizes.append(len(y))
-            return real(y, n, e, a1, a2)
-
-        monkeypatch.setattr(oracle, "decode_batch", count_rows)
-        calls = reject_rows(monkeypatch, [kernel_key(codebook, *row)])
+        sizes = []
+        edit_kernel(lambda y, e, words, status: sizes.append(len(y)))
+        calls = reject_rows(edit_kernel, [kernel_key(codebook, *row)])
         report = verify_decoder(codebook)
         assert report.checked == full_order_place(codebook, *row) + 1
         assert max(sizes) <= max(batch, 13 * 14 // 2) and calls[-1] == [0] and len(calls) > 2
 
-    def test_failing_received_word_reports_the_first_row(self, monkeypatch):
+    def test_failing_received_word_reports_the_first_row(self, monkeypatch, edit_kernel):
         # the kernel fails every row with one chosen (y, e); whichever row of a run it
         # came from, the report names the first such row of the full order, as a loop
         # over every row does; 16-row batches put the rows across many kernel calls
-        real, failing = oracle.decode_batch, None
+        failing = None
 
-        def fail_one_word(y, n, e, a1, a2):
-            words, k, status = real(y, n, e, a1, a2)
-            status = np.where((y[:, 0] == failing[0]) & (e == failing[1]), 0, status)
-            return words, k, status
+        def fail_one_word(y, e, words, status):
+            status[(y[:, 0] == failing[0]) & (e == failing[1])] = 0
 
-        monkeypatch.setattr(oracle, "decode_batch", fail_one_word)
+        edit_kernel(fail_one_word)
         monkeypatch.setattr(oracle, "BATCH_WORDS", 16)
         codebook = enumerate_codebook(best_params(7))
         for y in sorted(all_preimage_sets(codebook), key=str):
@@ -460,22 +462,19 @@ class TestVerifyDecoder:
             got, want = verify_decoder(codebook), loop_verify_decoder(codebook, y)
             assert (got.checked, got.render()) == (want.checked, want.render())
 
-    def test_reports_the_word_the_kernel_returned(self, monkeypatch):
+    def test_reports_the_word_the_kernel_returned(self, edit_kernel):
         # the kernel "recovers" the last row of the decoder's walk, an e = n row with d > 1,
         # with one bit flipped; the report shows that word
         codebook = enumerate_codebook(best_params(8))
         e, d, i = row = decoder_walk(codebook)[-1]
         word, _ = kernel_key(codebook, *row)
-        real = oracle.decode_batch
 
-        def flip_one_row(y, n, e_, a1, a2):
-            words, k, status = real(y, n, e_, a1, a2)
+        def flip_one_row(y, e_, words, status):
             hit = (y[:, 0] == word) & (e_ == e)
-            words, status = words.copy(), np.where(hit, 1, status)
+            status[hit] = 1
             words[hit, 0] ^= np.uint64(1 << 63)  # the packed word's first position
-            return words, k, status
 
-        monkeypatch.setattr(oracle, "decode_batch", flip_one_row)
+        edit_kernel(flip_one_row)
         x = codebook.words[i].render()
         flipped = ("1" if x[0] == "0" else "0") + x[1:]
         report = verify_decoder(codebook)
