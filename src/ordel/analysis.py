@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .core import check_length
 from .vt_code import check_count
 
 __all__ = ["BoundsRow", "RunStats", "bounds_csv", "bounds_table", "redundancy_lower_bound",
@@ -48,8 +49,7 @@ class RunStats(NamedTuple):
 
 def redundancy_upper_bound(n: int) -> float:
     """log2(n+1) + log2(3): redundancy achieved by the best parameter class."""
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    check_length(n)
     return math.log2(n + 1) + math.log2(3)
 
 
@@ -59,8 +59,7 @@ def redundancy_lower_bound(n: int) -> float | None:
     The bound is asymptotic; below the point where the log argument exceeds 1
     it says nothing, and None is returned rather than an error.
     """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    check_length(n)
     # in units of 2^s, so that huge n never meets a float; s = 0 up to n ~ 10^301
     s = max(0, (n - 1).bit_length() - 1000)
     m = (n - 1) / 2**s
@@ -75,8 +74,7 @@ def run_threshold(n: int) -> float:
 
     Negative for small n, in which case every word qualifies.
     """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    check_length(n)
     return (n - 1) / 2.0 - math.sqrt(2.0 * (n - 1) * math.log2(n))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ReceivedWord, Word, prefix_mask
+from .core import ReceivedWord, Word, check_length, prefix_mask
 
 __all__ = ["CorruptionPattern", "all_patterns", "corrupt", "corrupt_batch", "corrupt_symbols",
            "draw_pattern"]
@@ -68,8 +68,7 @@ def corrupt_batch(words: np.ndarray, n: int, d: np.ndarray, e: np.ndarray) -> np
 
 def all_patterns(n: int) -> list[CorruptionPattern]:
     """All n(n+1)/2 valid patterns for word length n, in (d, e) lexicographic order."""
-    if n < 3:
-        raise ValueError(f"word length must be >= 3, got {n}")
+    check_length(n)
     return [CorruptionPattern(d, e) for d in range(1, n + 1) for e in range(d, n + 1)]
 
 

@@ -5,11 +5,13 @@ bits x_1 ... x_n, and every position argument or result (d, e, k) counts from
 1.  ``Word.bits`` is a plain tuple, so x_i lives at ``bits[i - 1]``; use
 ``Word.bit(i)`` to stay in the 1-based convention.
 
-Erased symbols are represented as ``None`` in memory and rendered as ``'?'``
-in all text I/O.  Every type here is an immutable value; every function is
-pure, so everything is safe to share across threads.  Package-wide, a type
-that checks its fields is a ``@dataclass(frozen=True)`` whose ``__post_init__``
-refuses bad ones; a result record, which checks nothing, is a ``typing.NamedTuple``.
+Erased symbols are represented as ``None`` in memory and rendered as ``'?'`` in all text
+I/O, through one symbol table.  Two input rules are stated here alone: n >= 3
+(``check_length``), and a received word holds at most one erasure, at its 1-based
+``erasure_pos`` (None without one).  Every type here is an immutable value; every function
+is pure, so everything is safe to share across threads.  Package-wide, a type that checks
+its fields is a ``@dataclass(frozen=True)`` whose ``__post_init__`` refuses bad ones; a
+result record, which checks nothing, is a ``typing.NamedTuple``.
 
 The batch kernels take and return packed rows: a row of a length-n batch is
 W = ceil(n / 64) uint64 words, position i (from 0) in word i // 64 at bit
@@ -28,7 +30,15 @@ __all__ = ["CodeParams", "ReceivedWord", "Word", "pack_rows", "parse_received", 
 
 MIN_LENGTH = 3
 ERASURE_CHAR = "?"
+_SYMBOLS = {"0": 0, "1": 1, ERASURE_CHAR: None}  # text to symbols; _TEXT maps them back
+_TEXT = {symbol: ch for ch, symbol in _SYMBOLS.items()}
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def check_length(n: int) -> None:
+    """Refuse a word length n below ``MIN_LENGTH``: the package's one length check."""
+    if n < MIN_LENGTH:
+        raise ValueError(f"n must be >= {MIN_LENGTH}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -38,10 +48,7 @@ class Word:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.bits) < MIN_LENGTH:
-            raise ValueError(
-                f"word length must be >= {MIN_LENGTH}, got {len(self.bits)}"
-            )
+        check_length(len(self.bits))
         # count() runs at C speed; this guard sits on hot paths
         if self.bits.count(0) + self.bits.count(1) != len(self.bits):
             raise ValueError("word bits must all be 0 or 1")
@@ -102,25 +109,15 @@ class ReceivedWord:
     erasure_pos: int | None = None
 
     def __post_init__(self) -> None:
-        m = len(self.symbols)
-        if m < MIN_LENGTH - 1:
-            raise ValueError(f"received word length must be >= {MIN_LENGTH - 1}, got {m}")
-        erasures = self.symbols.count(None)
-        binary = self.symbols.count(0) + self.symbols.count(1)
-        if erasures + binary != m:
+        s, pos = self.symbols, self.erasure_pos
+        check_length(len(s) + 1)
+        # count() and index() run at C speed; corrupt builds one of these per call
+        erasures = s.count(None)
+        if erasures + s.count(0) + s.count(1) != len(s):
             raise ValueError("received symbols must be 0, 1, or the erasure marker")
-        if erasures > 1:
-            raise ValueError(f"at most one erasure allowed, found {erasures}")
-        if self.erasure_pos is None:
-            if erasures:
-                raise ValueError("erasure marker present but erasure_pos not set")
-        else:
-            if not 1 <= self.erasure_pos <= m:
-                raise ValueError(f"erasure_pos {self.erasure_pos} outside 1..{m}")
-            if erasures != 1 or self.symbols[self.erasure_pos - 1] is not None:
-                raise ValueError(
-                    f"erasure_pos {self.erasure_pos} does not match the erased symbol"
-                )
+        if erasures > 1 or pos != (s.index(None) + 1 if erasures else None):
+            raise ValueError(f"a received word has at most one erasure, at erasure_pos: "
+                             f"got erasures={erasures}, erasure_pos={pos}")
 
     @property
     def n(self) -> int:
@@ -133,9 +130,7 @@ class ReceivedWord:
         return self.erasure_pos if self.erasure_pos is not None else self.n
 
     def render(self) -> str:
-        return "".join(
-            ERASURE_CHAR if s is None else ("1" if s else "0") for s in self.symbols
-        )
+        return "".join(map(_TEXT.__getitem__, self.symbols))
 
     def __str__(self) -> str:
         return self.render()
@@ -153,39 +148,31 @@ class CodeParams:
     a2: int
 
     def __post_init__(self) -> None:
-        if self.n < MIN_LENGTH:
-            raise ValueError(f"n must be >= {MIN_LENGTH}, got {self.n}")
+        check_length(self.n)
         if not 0 <= self.a1 <= 2:
             raise ValueError(f"a1 must be in 0..2, got {self.a1}")
         if not 0 <= self.a2 <= self.n:
             raise ValueError(f"a2 must be in 0..{self.n}, got {self.a2}")
 
 
+def _read(text: str, alphabet, what: str) -> tuple[int | None, ...]:
+    """``text``, a ``what`` over ``alphabet`` (characters), mapped through the one symbol table."""
+    for ch in text:
+        if ch not in alphabet:
+            raise ValueError(f"invalid character {ch!r} in {what} {text!r}")
+    return tuple(map(_SYMBOLS.__getitem__, text))
+
+
 def parse_word(text: str) -> Word:
     """Parse a '0'/'1' string of length >= 3 into a Word."""
-    for ch in text:
-        if ch not in "01":
-            raise ValueError(f"invalid character {ch!r} in word {text!r}")
-    return Word(tuple(1 if ch == "1" else 0 for ch in text))
+    return Word(_read(text, "01", "word"))
 
 
 def parse_received(text: str, n: int) -> ReceivedWord:
     """Parse a received word of length n - 1 over '0'/'1'/'?'.
 
-    The '?' position (if any) becomes the 1-based erasure position.
+    The first '?' (if any) gives the 1-based erasure position; ``ReceivedWord`` refuses a second.
     """
     if len(text) != n - 1:
         raise ValueError(f"received word must have length {n - 1}, got {len(text)}")
-    erasure_pos: int | None = None
-    symbols: list[int | None] = []
-    for i, ch in enumerate(text, start=1):
-        if ch == ERASURE_CHAR:
-            if erasure_pos is not None:
-                raise ValueError(f"multiple erasures in received word {text!r}")
-            erasure_pos = i
-            symbols.append(None)
-        elif ch in "01":
-            symbols.append(1 if ch == "1" else 0)
-        else:
-            raise ValueError(f"invalid character {ch!r} in received word {text!r}")
-    return ReceivedWord(tuple(symbols), erasure_pos)
+    return ReceivedWord(_read(text, _SYMBOLS, "received word"), text.find(ERASURE_CHAR) + 1 or None)

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import CodeParams, prefix_mask
+from .core import CodeParams, check_length, prefix_mask
 from .decoder import BATCH_WORDS, round_trip, row_sums
 from .vt_code import class_sizes, subset_buckets
 
@@ -141,8 +141,7 @@ def run_trials(
     Trials run in batches of BATCH_WORDS // ceil(n / 64) words through ``decoder.round_trip``,
     which describes the first failing trial by the decoded word or failure reason it got.
     """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    check_length(n)
     if n > 2**31 - 64:  # a row's 64 * ceil(n / 64) bits come from one getrandbits call
         raise ValueError(f"n = {n} is past n <= 2^31 - 64, the most bits one getrandbits call draws")
     if trials < 1:

@@ -182,7 +182,8 @@ def deletion_balls_disjoint(codebook: Codebook) -> VerificationReport:
     """
     n, size = codebook.params.n, len(codebook)
     owner, d = np.divmod(np.flatnonzero(_run_starts(codebook)), n)  # 3x np.nonzero's speed in 2-D
-    first = _first_equal(_balls(codebook, owner, d + 1))
+    owner, d = owner.astype(np.int32), d.astype(np.uint8) + 1  # n <= 64, |C| < 2^27: check_rows
+    first = _first_equal(_balls(codebook, owner, d))
     if first is None:
         return VerificationReport("deletion-balls", size * n)
     # j: codeword i's first repeated row, shared unless i's ball is short; k gave j's word first
@@ -193,5 +194,5 @@ def deletion_balls_disjoint(codebook: Codebook) -> VerificationReport:
     if ball < runs:
         failure = f"FAIL x1={x2} x2={x2} d=1 e={n} ball={ball} runs={runs}"
     else:
-        failure = f"FAIL x1={x1} x2={x2} d={d[k] + 1} e={n}"
+        failure = f"FAIL x1={x1} x2={x2} d={d[k]} e={n}"
     return VerificationReport("deletion-balls", (i + 1) * n, failure)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CodeParams, Word, prefix_mask, unpack_rows
+from .core import CodeParams, Word, check_length, prefix_mask, unpack_rows
 
 __all__ = ["COUNT_LIMIT", "Codebook", "best_of", "best_params", "check_cap", "class_sizes",
            "enumerate_codebook", "redundancy", "render_codebook"]
@@ -54,8 +54,7 @@ class Codebook:
 
 def check_count(n: int) -> None:
     """Refuse n < 3 and n > ``COUNT_LIMIT``, the lengths the exact counts take."""
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    check_length(n)
     if n > COUNT_LIMIT:
         raise ValueError(f"exact counts at n = {n} exceed the count limit n <= {COUNT_LIMIT}")
 

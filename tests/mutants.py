@@ -71,8 +71,17 @@ MUTANTS = [
     Mutant("src/ordel/core.py", "if not 1 <= i <= len(self.bits):",
            "if not 0 <= i <= len(self.bits):",
            "Word.bit(0) returns x_n where it raises IndexError"),
-    Mutant("src/ordel/core.py", "erasure_pos = i", "erasure_pos = i - 1",
-           "the erasure one position early: decode reads it from the '?' alone"),
+    Mutant("src/ordel/core.py", "text.find(ERASURE_CHAR) + 1 or None",
+           "text.find(ERASURE_CHAR) or None",
+           "the erasure position one early, off the '?', so ReceivedWord refuses every erasure"),
+    Mutant("src/ordel/core.py", "if n < MIN_LENGTH:", "if n <= MIN_LENGTH:",
+           "every length check refuses n = 3, the shortest word"),
+    Mutant("src/ordel/core.py", "if erasures > 1 or pos != ", "if pos != ",
+           "a second '?' after the one at erasure_pos passes: two erasures in one received word"),
+    Mutant("src/ordel/core.py", "if ch not in alphabet:", "if False:",
+           "a character outside the symbol table raises KeyError: a CLI traceback, no error line"),
+    Mutant("src/ordel/core.py", '_read(text, "01", "word")', '_read(text, _SYMBOLS, "word")',
+           "a '?' in a word passes the character check, and Word refuses it with another message"),
     Mutant("src/ordel/decoder.py", "np.where(k <= e, k, 0)", "np.where(k < e, k, 0)",
            "the batched scan refuses an insertion at k = e, where the bit sits before the erasure"),
     Mutant("src/ordel/decoder.py", "if top >= 2**63:", "if top > 2**63:",

@@ -397,6 +397,7 @@ class TestRuns:
 
 COMMANDS = ["codebook", "corrupt", "decode", "verify", "bounds", "simulate", "runs"]
 SIMULATE = ["simulate", "--n", "9", "--trials", "5", "--seed", "1"]
+N_BELOW_3 = "n must be >= 3, got 2"
 
 
 class TestGrammar:
@@ -419,6 +420,27 @@ class TestGrammar:
         status, out, err = invoke(capsys, *argv)
         assert (status, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["corrupt", "--word", "01", "--d", "1", "--e", "1"], N_BELOW_3),
+            (["decode", "--received", "1??0", "--n", "5", "--a1", "0", "--a2", "0"],
+             "a received word has at most one erasure, at erasure_pos: got erasures=2, erasure_pos=2"),
+            (["decode", "--received", "0", "--n", "2", "--a1", "0", "--a2", "0"], N_BELOW_3),
+            (["decode", "--received", "11x0", "--n", "5", "--a1", "0", "--a2", "0"],
+             "invalid character 'x' in received word '11x0'"),
+            (["bounds", "--n-list", "3,x"], "bad --n-list: invalid literal for int() with base 10: 'x'"),
+            (["runs", "--n", "2"], N_BELOW_3),
+            (["simulate", "--n", "2", "--trials", "1", "--seed", "1"], N_BELOW_3),
+            (["verify", "--n", "2"], N_BELOW_3),
+        ],
+        ids=["corrupt-short", "decode-two-erasures", "decode-short", "decode-bad-character",
+             "bounds-bad-list", "runs-short", "simulate-short", "verify-short"],
+    )
+    def test_refusal_is_one_exact_line(self, capsys, argv, message):
+        # a length below 3 gets core.check_length's one message from every command
+        assert invoke(capsys, *argv) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv, removed",

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ordel.analysis import redundancy_lower_bound, redundancy_upper_bound, run_threshold
+from ordel.channel import all_patterns
 from ordel.core import (
     CodeParams,
     ReceivedWord,
@@ -15,6 +17,8 @@ from ordel.core import (
     prefix_mask,
     unpack_rows,
 )
+from ordel.montecarlo import run_trials
+from ordel.vt_code import check_count
 
 TOP = 1 << 63
 ALL = 2**64 - 1
@@ -56,6 +60,11 @@ class TestWord:
         with pytest.raises(ValueError, match="invalid character"):
             parse_word("10a1")
 
+    def test_parse_rejects_the_erasure_marker(self):
+        # '?' is in the symbol table, but not in a word's alphabet
+        with pytest.raises(ValueError, match=r"^invalid character '\?' in word '10\?1'$"):
+            parse_word("10?1")
+
     def test_parse_rejects_short_words(self):
         with pytest.raises(ValueError):
             parse_word("01")
@@ -96,7 +105,7 @@ class TestReceivedWord:
         assert y.effective_erasure == 5
 
     def test_parse_rejects_multiple_erasures(self):
-        with pytest.raises(ValueError, match="multiple erasures"):
+        with pytest.raises(ValueError, match=r"at most one erasure.*erasures=2, erasure_pos=2$"):
             parse_received("1??0", 5)
 
     def test_parse_rejects_wrong_length(self):
@@ -115,6 +124,10 @@ class TestReceivedWord:
         with pytest.raises(ValueError):
             ReceivedWord((1, 0, 0), erasure_pos=2)
 
+    def test_construction_rejects_non_symbols(self):
+        with pytest.raises(ValueError, match="received symbols must be 0, 1, or the erasure"):
+            ReceivedWord((1, 2, 0))
+
     def test_render_round_trip(self):
         for text in ["11?0", "0110", "?00", "10?"]:
             n = len(text) + 1
@@ -132,3 +145,21 @@ class TestCodeParams:
     def test_rejects_out_of_range(self, n, a1, a2):
         with pytest.raises(ValueError):
             CodeParams(n, a1, a2)
+
+
+@pytest.mark.parametrize("refuse", [
+    pytest.param(lambda: Word((0, 1)), id="Word"),
+    pytest.param(lambda: ReceivedWord((0,)), id="ReceivedWord"),
+    pytest.param(lambda: CodeParams(2, 0, 0), id="CodeParams"),
+    pytest.param(lambda: all_patterns(2), id="all_patterns"),
+    pytest.param(lambda: redundancy_upper_bound(2), id="redundancy_upper_bound"),
+    pytest.param(lambda: redundancy_lower_bound(2), id="redundancy_lower_bound"),
+    pytest.param(lambda: run_threshold(2), id="run_threshold"),
+    pytest.param(lambda: check_count(2), id="check_count"),
+    pytest.param(lambda: run_trials(2, 1, 1), id="run_trials"),
+    pytest.param(lambda: parse_word("01"), id="parse_word"),
+    pytest.param(lambda: parse_received("0", 2), id="parse_received"),
+])
+def test_every_length_below_3_gets_the_one_message(refuse):
+    with pytest.raises(ValueError, match=r"^n must be >= 3, got 2$"):
+        refuse()
