@@ -142,8 +142,8 @@ def bounds_cmd(n_list: str | None, n_grid: str | None) -> None:
             start, stop, factor = int(start_text), int(stop_text), int(factor_text)
         except ValueError:
             raise _UsageError(f"bad --n-grid {n_grid!r}, expected start:stop:factor")
-        if start < 3 or stop < start or factor < 2:
-            raise _UsageError("--n-grid needs start >= 3, stop >= start, factor >= 2")
+        if start < 1 or stop < start or factor < 2:  # a finite grid; bounds_table checks each n
+            raise _UsageError("--n-grid needs start >= 1, stop >= start, factor >= 2")
         values = [start]
         while values[-1] * factor <= stop:
             values.append(values[-1] * factor)

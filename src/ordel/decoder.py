@@ -77,14 +77,9 @@ class DecodeFailure(NamedTuple):
 BATCH_WORDS = 1 << 13
 
 # plane t < 6 of _INDEX_BITS sets the positions of a word whose in-word index has bit t
-# set, plane 6 all of them; _BYTE_HEADS[j] sets a word's first j bytes; _SELECT[8v + r] is
-# the in-byte index of byte v's (r+1)-th 1, or 8 when it has no such 1
+# set, plane 6 all of them
 _INDEX_BITS = pack_rows(np.arange(64, 128) >> np.arange(7)[:, None] & 1, 64).reshape(7, 1, 1)
 _INDEX_WEIGHTS = (1 << np.arange(6, dtype=np.uint16)).reshape(6, 1, 1)
-_BYTE_HEADS = prefix_mask(np.arange(0, 64, 8), 1)
-_BYTES = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-_SELECT = np.where(np.arange(8) < _BYTES.sum(axis=1, keepdims=True),
-                   np.argsort(_BYTES == 0, axis=1, kind="stable"), 8).ravel()
 
 # the bit guesses each discrepancy leaves, in the order the passes try them;
 # with no erasure the deleted bit is the discrepancy, the first guess
@@ -202,21 +197,20 @@ def _first_sync(n, y, e, a2, deleted, erased, weighted) -> np.ndarray:
     # the c-th 1 of y ^ deleted, c = t or n + 1 - t; an erased slot's stored 0 counts
     t = (a2 - deleted - (e + 1) * erased - weighted) % (n + 1)
     c = np.where(deleted == 1, t, n + 1 - t)
-    # in the first word whose running popcount reaches c, in its first byte whose count
-    # reaches the rank left.  Past the row's last 1 (the pad reads as 1s under deleted = 1)
-    # k passes e; with no c-th 1 at all the rank passes the last word's 1s, and k lands
-    # on 64W + 1 (its last byte full) or 64W + 2, past n
+    # in the first word whose running popcount reaches c, the bit past the longest head (64 -
+    # rest bits, by halving) holding fewer 1s than the rank left (capped at 65 for uint8).
+    # Past the row's last 1 (the pad reads as 1s under deleted = 1) k passes e; with no c-th 1
+    # at all the head is the last word's first 63 bits, and k lands on 64W + 1, past n
     flips = y ^ (-deleted).astype(np.uint64)[:, None]  # all 1s where deleted = 1
     ones = np.cumsum(np.bitwise_count(flips), axis=1, dtype=np.int64)
     word = (ones[:, :-1] < c[:, None]).sum(axis=1)
     at = np.arange(0, y.size, y.shape[1]) + word
     chosen = flips.reshape(-1)[at]
-    rank = c - ones.reshape(-1)[at] + np.bitwise_count(chosen)
-    heads = np.bitwise_count(_BYTE_HEADS & chosen)
-    byte = (heads[1:] < np.minimum(rank, 65).astype(np.uint8)).sum(axis=0)
-    value = (chosen >> (56 - 8 * byte).astype(np.uint64) & 255).astype(np.int64)
-    r = rank - heads.reshape(-1)[byte * len(chosen) + np.arange(len(chosen))] - 1
-    k = 64 * word + 8 * byte + _SELECT[8 * value + np.minimum(r, 7)] + 2
+    rank = np.minimum(c - ones.reshape(-1)[at] + np.bitwise_count(chosen), 65).astype(np.uint8)
+    rest = np.uint64(64)  # an array from the first step on
+    for half in map(np.uint64, (32, 16, 8, 4, 2, 1)):  # keeps rest uint64; no shift reaches 64
+        rest -= (np.bitwise_count(chosen >> (rest - half)) < rank) * half
+    k = 64 * word + 66 - rest.astype(np.int64)
     # G_0 = 0 matches only t = 0, at k = 1
     return np.where(t == 0, 1, np.where(k <= e, k, 0))
 

@@ -84,6 +84,8 @@ MUTANTS = [
            "a '?' in a word passes the character check, and Word refuses it with another message"),
     Mutant("src/ordel/decoder.py", "np.where(k <= e, k, 0)", "np.where(k < e, k, 0)",
            "the batched scan refuses an insertion at k = e, where the bit sits before the erasure"),
+    Mutant("src/ordel/decoder.py", "(32, 16, 8, 4, 2, 1)", "(32, 16, 8, 4, 2)",
+           "the in-word select stops a bit short: a sync bit at an odd in-word index lands one early"),
     Mutant("src/ordel/decoder.py", "if top >= 2**63:", "if top > 2**63:",
            "a largest weighted sum of exactly 2^63 passes the guard and overflows int64"),
     Mutant("src/ordel/decoder.py", "(status < 1) | (decoded != words)", "(decoded != words)",

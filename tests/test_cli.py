@@ -431,15 +431,19 @@ class TestGrammar:
             (["decode", "--received", "11x0", "--n", "5", "--a1", "0", "--a2", "0"],
              "invalid character 'x' in received word '11x0'"),
             (["bounds", "--n-list", "3,x"], "bad --n-list: invalid literal for int() with base 10: 'x'"),
+            (["bounds", "--n-grid", "2:10:2"], N_BELOW_3),
+            (["bounds", "--n-grid", "0:10:2"], "--n-grid needs start >= 1, stop >= start, factor >= 2"),
             (["runs", "--n", "2"], N_BELOW_3),
             (["simulate", "--n", "2", "--trials", "1", "--seed", "1"], N_BELOW_3),
             (["verify", "--n", "2"], N_BELOW_3),
         ],
         ids=["corrupt-short", "decode-two-erasures", "decode-short", "decode-bad-character",
-             "bounds-bad-list", "runs-short", "simulate-short", "verify-short"],
+             "bounds-bad-list", "bounds-grid-short", "bounds-grid-zero", "runs-short", "simulate-short",
+             "verify-short"],
     )
     def test_refusal_is_one_exact_line(self, capsys, argv, message):
-        # a length below 3 gets core.check_length's one message from every command
+        # a length below 3 gets core.check_length's one message from every command, a grid
+        # start below 1 (an endless grid) the grid's own
         assert invoke(capsys, *argv) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(

@@ -453,6 +453,35 @@ class TestDecodeBatch:
             out.reason for out in outs if isinstance(out, DecodeFailure)
         }
 
+    @pytest.mark.parametrize("n", [64, 65, 128])
+    def test_sync_at_every_in_word_index(self, n):
+        # the c-th 1 of y ^ deleted at each in-word index 0..63 of the first word and of the
+        # last, under either guess: at y's position p, k = p + 2; in the pad, which reads as
+        # 1s under deleted = 1, k passes e = n; plus one row with no c-th 1 at all
+        rng, width = random.Random(n), -(-n // 64)
+        rows, expected = [], []
+        for p, deleted in product(sorted({*range(64), *range(64 * width - 64, 64 * width)}), (0, 1)):
+            if p < n - 1:
+                steps = [int(rng.random() < rng.random()) for _ in range(n - 1)]
+                steps[p] = 1
+                c = sum(steps[: p + 1])
+            elif deleted:
+                steps, c = [0] * (n - 1), p - n + 2  # only the pad's 1s up to p
+            else:
+                continue  # the pad holds no 1 under deleted = 0
+            received = ReceivedWord(tuple(b ^ deleted for b in steps))
+            a1 = (sum(received.symbols) + deleted) % 3
+            f1 = hypothesis_checksum(received, 1, BitHypothesis(deleted, 0), CodeParams(n, a1, 0))
+            rows.append((received, a1, (f1 + (c if deleted else -c)) % (n + 1)))
+            expected.append(p + 2 if p < n - 1 else None)
+        received = ReceivedWord((0,) * (n - 1))
+        f1 = hypothesis_checksum(received, 1, BitHypothesis(0, 0), CodeParams(n, 0, 0))
+        rows.append((received, 0, (f1 - 1) % (n + 1)))  # c = 1, no 1 in y ^ 0 or its pad
+        expected.append(None)
+        assert_batch_matches_decode(n, rows)
+        got = [getattr(decode(r, CodeParams(n, a1, a2)), "insertion_index", None) for r, a1, a2 in rows]
+        assert got == expected
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(3, 300), st.integers(1, 64), st.integers(0, 2**32 - 1))
     def test_many_rows_match_decode(self, n, count, seed):
