@@ -78,7 +78,8 @@ def codebook_cmd(n: int, a1: int | None, a2: int | None, best: bool) -> None:
         if a1 is None or a2 is None:
             raise _UsageError("give both --a1 and --a2, or --best")
         params = CodeParams(n, a1, a2)
-    print(vt_code.render_codebook(vt_code.enumerate_codebook(params)))
+    sys.stdout.writelines(vt_code.render_codebook_pieces(vt_code.enumerate_codebook(params)))
+    print()
 
 
 @_command("corrupt",

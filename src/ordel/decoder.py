@@ -179,10 +179,25 @@ def row_sums(words: np.ndarray, cols: int, first_weight: int) -> tuple[np.ndarra
     Position j (from 0) weighs ``first_weight + j``: a 1 in word w weighs first_weight + 64w,
     plus 2^t if bit t of its in-word index is set, as popcounts under ``_INDEX_BITS`` count.
     Exact while the largest possible weighted sum is below 2^63; past it a ValueError says so.
+    Columns go max(1, BATCH_WORDS // R) words a chunk, so the seven masked copies and their
+    popcounts, about 64 bytes a word, cover max(R, BATCH_WORDS) words at most.
     """
     top = cols * first_weight + cols * (cols - 1) // 2
     if top >= 2**63:
         raise ValueError(f"weighted sums up to {top} exceed 2^63 - 1, the int64 limit")
+    if words.size <= BATCH_WORDS:  # one chunk, as every batch from round_trip is, and R = 0
+        return _chunk_sums(words, first_weight)
+    step = max(1, BATCH_WORDS // len(words))
+    bit_sum, weighted = _chunk_sums(words[:, :step], first_weight)
+    for s in range(step, words.shape[1], step):
+        more = _chunk_sums(words[:, s : s + step], first_weight + 64 * s)
+        bit_sum += more[0]
+        weighted += more[1]
+    return bit_sum, weighted
+
+
+def _chunk_sums(words: np.ndarray, first_weight: int) -> tuple[np.ndarray, np.ndarray]:
+    """``row_sums`` of one chunk of columns, its first position weighing ``first_weight``."""
     counts = np.bitwise_count(_INDEX_BITS & words)
     ones = counts[6].astype(np.int64)
     inside = (counts[:6] * _INDEX_WEIGHTS).sum(axis=0, dtype=np.uint16)  # < 2^11 per word

@@ -17,6 +17,7 @@ past ``ENUM_CAP``: each prefix of the first n//2 positions takes the one bucket 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from .core import CodeParams, Word, check_length, prefix_mask, unpack_rows
 
 __all__ = ["COUNT_LIMIT", "Codebook", "best_of", "best_params", "check_cap", "class_sizes",
-           "enumerate_codebook", "redundancy", "render_codebook"]
+           "enumerate_codebook", "redundancy", "render_codebook", "render_codebook_pieces"]
 
 ENUM_CAP = 28  # listing: 23.5 MiB of rows for the 3.1M words of n = 28's best class
 COUNT_LIMIT = 1 << 10  # exact counts: class_sizes(1024) takes about 0.2 s, (2048) 1-3 s
@@ -155,12 +156,15 @@ def redundancy(codebook: Codebook) -> float:
 
 def render_codebook(codebook: Codebook) -> str:
     """Text form: one header line `n=<n> a1=<a1> a2=<a2>`, then one word per line."""
+    return "".join(render_codebook_pieces(codebook))
+
+
+def render_codebook_pieces(codebook: Codebook) -> Iterator[str]:
+    """``render_codebook``'s text in pieces: the header, then each 4096 rows' text."""
     p = codebook.params
-    header = f"n={p.n} a1={p.a1} a2={p.a2}".encode()
-    # each row is a newline and n digits, unpacked 4096 rows at a time; one buffer, decoded once
-    text = np.full(len(header) + len(codebook) * (p.n + 1), ord("\n"), np.uint8)
-    text[: len(header)] = np.frombuffer(header, np.uint8)
-    digits = text[len(header) :].reshape(-1, p.n + 1)[:, 1:]
-    for i in range(0, len(digits), 4096):
-        np.add(unpack_rows(codebook.rows[i : i + 4096], p.n), ord("0"), out=digits[i : i + 4096])
-    return str(text.data, "ascii")
+    yield f"n={p.n} a1={p.a1} a2={p.a2}"
+    for i in range(0, len(codebook), 4096):
+        rows = codebook.rows[i : i + 4096]
+        text = np.full((len(rows), p.n + 1), ord("\n"), np.uint8)  # a newline, then n digits
+        np.add(unpack_rows(rows, p.n), ord("0"), out=text[:, 1:])
+        yield str(text.data, "ascii")

@@ -88,6 +88,8 @@ MUTANTS = [
            "the in-word select stops a bit short: a sync bit at an odd in-word index lands one early"),
     Mutant("src/ordel/decoder.py", "if top >= 2**63:", "if top > 2**63:",
            "a largest weighted sum of exactly 2^63 passes the guard and overflows int64"),
+    Mutant("src/ordel/decoder.py", "first_weight + 64 * s)", "first_weight)",
+           "row_sums weighs each later chunk of columns as if it began the row"),
     Mutant("src/ordel/decoder.py", "(status < 1) | (decoded != words)", "(decoded != words)",
            "a row the kernel fails, but whose stale word matches, counts as a round trip"),
     Mutant("src/ordel/decoder.py", "i = bad[0]", "i = bad[-1]",

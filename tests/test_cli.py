@@ -102,6 +102,15 @@ class TestCodebook:
         assert status == 0
         assert out == "n=3 a1=0 a2=0\n000\n"
 
+    @pytest.mark.parametrize("n, rows", [(18, 4600), (19, 8747)])
+    def test_listing_written_in_pieces(self, capsys, n, rows):
+        # the header, then 4096 rows a piece, the last piece short: 2 and 3 pieces of rows
+        codebook = vt_code.enumerate_codebook(vt_code.best_params(n))
+        pieces = len(list(vt_code.render_codebook_pieces(codebook)))
+        assert (len(codebook), pieces) == (rows, 2 + rows // 4096)
+        status, out, err = invoke(capsys, "codebook", "--n", str(n), "--best")
+        assert (status, out, err) == (0, vt_code.render_codebook(codebook) + "\n", "")
+
     def test_best_excludes_explicit(self, capsys):
         status, _, _ = invoke(capsys, "codebook", "--n", "3", "--best", "--a1", "0", "--a2", "0")
         assert status == 1

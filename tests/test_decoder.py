@@ -1,6 +1,7 @@
 """Decoder: discrepancy, checksums, synchronization, and round trips."""
 
 import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -17,6 +18,7 @@ from ordel.core import (
     pack_rows,
     parse_received,
     parse_word,
+    prefix_mask,
     unpack_rows,
 )
 from ordel.decoder import (
@@ -623,6 +625,30 @@ class TestBatchLimits:
         assert int(row_sums(one, 1, 2**63 - 1)[1][0]) == 2**63 - 1
         with pytest.raises(ValueError, match=r"2\^63"):
             row_sums(one, 1, 2**63)
+
+
+class TestRowSums:
+    @pytest.mark.parametrize("rows, width", [(1, 3 * decoder.BATCH_WORDS + 5), (10_000, 3)])
+    def test_chunks_sum_exactly(self, rows, width):
+        # one row spans four chunks of BATCH_WORDS columns; 10,000 rows go one column a chunk
+        cols = 64 * width - 7
+        rng = np.random.default_rng(rows)
+        words = rng.integers(0, 2**64, (rows, width), np.uint64) & prefix_mask(cols, width)
+        bits = unpack_rows(words, cols).astype(np.int64)
+        bit_sum, weighted = row_sums(words, cols, 3)
+        assert bit_sum.tolist() == bits.sum(axis=1).tolist()
+        assert weighted.tolist() == (bits @ np.arange(3, cols + 3)).tolist()
+
+    def test_peak_at_most_twice_the_input(self):
+        words = np.full((1, 2**21), 2**64 - 1, np.uint64)  # 16 MiB
+        tracemalloc.start()
+        try:
+            bit_sum, _ = row_sums(words, words.size * 64, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bit_sum.tolist() == [words.size * 64]
+        assert peak <= 2 * words.nbytes, peak / words.nbytes
 
 
 def round_trip_batch() -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -26,8 +26,8 @@ COUNTS_PAST = r"error: exact counts at n = 1025 exceed the count limit n <= 1024
 
 LIMITS = [  # argv, the limit named, exit status, stderr pattern
     pytest.param(["simulate", "--n", str(2**31 - 64), *TRIAL],
-                 "memory: row_sums' seven masked copies of a 2^25-word row, past 1 GiB", 1,
-                 r"error: Unable to allocate 1\.75 GiB .*\n", id="simulate-memory"),
+                 "memory: corrupt_batch's three prefix masks of a 2^25-word row, past 1 GiB", 1,
+                 r"error: Unable to allocate 768\. MiB .*\n", id="simulate-memory"),
     pytest.param(["simulate", "--n", str(2**31 - 63), *TRIAL],
                  "getrandbits: n <= 2^31 - 64", 1,
                  r"error: n = 2147483585 is past n <= 2\^31 - 64, .*\n", id="simulate-getrandbits"),
